@@ -461,6 +461,18 @@ TEST(ArtifactKeyTest, FilenameTracksEveryField) {
   EXPECT_EQ(ArtifactKey(key).Filename(), base);
 }
 
+// Artifact filenames are the content addresses of existing stores: this
+// key's name must never change, or every cached artifact goes cold.
+TEST(ArtifactKeyTest, FilenameIsPinned) {
+  ArtifactKey key;
+  key.domain = Domain::kRestaurants;
+  key.attr = Attribute::kPhone;
+  key.num_entities = 2000;
+  key.seed = 42;
+  key.scale = 1.0;
+  EXPECT_EQ(key.Filename(), "Restaurants-phone-5bc999aa3e680c53.wsdsnap");
+}
+
 // Regression: the key hashes the raw IEEE bits of `scale`, so the bit
 // aliases of a numeric value (-0.0 vs +0.0, NaN payload variants) must
 // be canonicalized first or equal scales would map to distinct

@@ -4,15 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <vector>
 
 #include "extract/host_table.h"
 #include "store/snapshot.h"
+#include "util/hash.h"
 
 namespace wsd {
 namespace {
@@ -316,6 +319,35 @@ TEST(WsdctlTest, ArtifactsFlagCachesAcrossRuns) {
   fs::remove_all(dir);
   std::remove(cold_json.c_str());
   std::remove(warm_json.c_str());
+}
+
+// Byte-identity pin for `wsdctl paper`: at this small fixed config the
+// command must keep writing exactly these TSVs. The digest is XXH64 over
+// "<name>\n<size>\n<bytes>" for every output file in name order. A
+// change that is meant to alter paper output updates the constant and
+// says why.
+TEST(WsdctlTest, PaperOutputDigestIsPinned) {
+  SKIP_WITHOUT_CLI();
+  const std::string dir =
+      (fs::temp_directory_path() / "wsdctl_paper_digest").string();
+  fs::remove_all(dir);
+  ASSERT_TRUE(fs::create_directories(dir));
+  ASSERT_EQ(RunCli("paper --entities 400 --scale 0.05 --seed 42 --outdir " +
+                   dir),
+            0);
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  std::string blob;
+  for (const std::string& name : names) {
+    const std::string bytes = ReadFile(dir + "/" + name);
+    blob += name + "\n" + std::to_string(bytes.size()) + "\n" + bytes;
+  }
+  EXPECT_EQ(names.size(), 28u);
+  EXPECT_EQ(XxHash64(blob), 0x92510b4698544a94ULL);
+  fs::remove_all(dir);
 }
 
 }  // namespace
