@@ -24,13 +24,11 @@
 //   wsd.scan.bench.simd_page_scan_<tier>_pages_per_sec
 //   wsd.scan.bench.simd_speedup   (best tier / scalar, structural scan)
 //
-// The snapshot-load trio (BM_SnapshotDecodeV1 / BM_SnapshotParseV2 /
-// BM_SnapshotMmapLoad) compares the varint decoder against the aligned
-// parser and the zero-copy mmap load of the same scan result, publishing
-//   wsd.store.bench.v1_decode_mb_per_sec
+// The snapshot-load pair (BM_SnapshotParseV2 / BM_SnapshotMmapLoad)
+// compares the buffered parser with the zero-copy mmap load of the same
+// scan result, publishing
 //   wsd.store.bench.v2_parse_mb_per_sec
 //   wsd.store.bench.mmap_load_mb_per_sec
-//   wsd.store.bench.mmap_speedup_vs_v1
 
 #include <benchmark/benchmark.h>
 
@@ -343,26 +341,6 @@ void PublishLoadRate(const char* gauge, uint64_t bytes, double seconds) {
   }
 }
 
-void BM_SnapshotDecodeV1(benchmark::State& state) {
-  const auto bytes = SerializeSnapshot(SnapshotResult());
-  uint64_t processed = 0;
-  const Timer timer;
-  for (auto _ : state) {
-    auto parsed = ParseSnapshot(*bytes);
-    if (!parsed.ok()) {
-      state.SkipWithError("v1 parse failed");
-      return;
-    }
-    benchmark::DoNotOptimize(parsed->table.num_hosts());
-    processed += bytes->size();
-  }
-  PublishLoadRate("wsd.store.bench.v1_decode_mb_per_sec", processed,
-                  timer.ElapsedSeconds());
-  state.SetItemsProcessed(state.iterations());
-  state.SetBytesProcessed(static_cast<int64_t>(processed));
-}
-BENCHMARK(BM_SnapshotDecodeV1);
-
 void BM_SnapshotParseV2(benchmark::State& state) {
   const auto bytes =
       SerializeSnapshotAligned(SnapshotResult(), BenchSnapshotMeta());
@@ -457,16 +435,6 @@ int main(int argc, char** argv) {
         .Set(best_scan / scalar_scan);
     std::cout << "simd structural scan ablation: " << best_scan / scalar_scan
               << "x bytes/sec at tier " << best_tier << " vs. scalar\n";
-  }
-  const double v1_decode =
-      registry.GetGauge("wsd.store.bench.v1_decode_mb_per_sec").value();
-  const double mmap_load =
-      registry.GetGauge("wsd.store.bench.mmap_load_mb_per_sec").value();
-  if (v1_decode > 0.0 && mmap_load > 0.0) {
-    registry.GetGauge("wsd.store.bench.mmap_speedup_vs_v1")
-        .Set(mmap_load / v1_decode);
-    std::cout << "snapshot load ablation: " << mmap_load / v1_decode
-              << "x MB/sec mmap (v2) vs. buffered varint decode (v1)\n";
   }
   ::benchmark::Shutdown();
   return 0;

@@ -43,7 +43,6 @@ StudyOptions StudyOptions::FromEnv() {
   options.seed = EnvUint("WSD_SEED", options.seed);
   options.threads =
       static_cast<uint32_t>(EnvUint("WSD_THREADS", options.threads));
-  options.legacy_scan = EnvUint("WSD_LEGACY_SCAN", 0) != 0;
   if (const char* dir = std::getenv("WSD_ARTIFACT_DIR"); dir != nullptr) {
     options.artifact_dir = dir;
   }
@@ -86,31 +85,6 @@ StatusOr<SyntheticWeb> Study::BuildWeb(Domain domain, Attribute attr) const {
   return SyntheticWeb::Create(config);
 }
 
-StatusOr<ScanResult> Study::RunScanUncached(Domain domain, Attribute attr) {
-  const AttributeSpec& spec = GetAttributeSpec(attr);
-  if (options_.legacy_scan && spec.min_snapshot_version > 2) {
-    // The byte-frozen legacy oracle predates post-v2 channels and cannot
-    // see explicit markup; refuse rather than silently scan nothing.
-    return Status::InvalidArgument(
-        std::string(AttributeName(attr)) +
-        " scans run the kernel path only; unset WSD_LEGACY_SCAN");
-  }
-  auto web = BuildWeb(domain, attr);
-  if (!web.ok()) return web.status();
-
-  const ReviewDetector* detector = nullptr;
-  if (spec.review_channel) {
-    if (!detector_.has_value()) {
-      auto built = ReviewDetector::CreateDefault(options_.seed ^ 0xdecafULL);
-      if (!built.ok()) return built.status();
-      detector_.emplace(std::move(built).value());
-    }
-    detector = &*detector_;
-  }
-  const ScanPipeline pipeline(*web, *pool_, detector);
-  return options_.legacy_scan ? pipeline.RunLegacy() : pipeline.Run();
-}
-
 ArtifactKey Study::KeyFor(Domain domain, Attribute attr) const {
   ArtifactKey key;
   key.domain = domain;
@@ -118,7 +92,6 @@ ArtifactKey Study::KeyFor(Domain domain, Attribute attr) const {
   key.num_entities = options_.num_entities;
   key.seed = options_.seed;
   key.scale = options_.scale;
-  key.legacy_scan = options_.legacy_scan;
   return key;
 }
 
@@ -141,7 +114,7 @@ StatusOr<Study::ScanHandle> Study::Scan(Domain domain, Attribute attr) {
     // with a live scan.
   }
 
-  auto scanned = RunScanUncached(domain, attr);
+  auto scanned = RunShardScan(domain, attr, ShardSpec{});
   if (!scanned.ok()) return scanned.status();
   auto shared =
       std::make_shared<const ScanResult>(std::move(scanned).value());
@@ -158,11 +131,6 @@ StatusOr<Study::ScanHandle> Study::Scan(Domain domain, Attribute attr) {
 
 StatusOr<ScanResult> Study::RunShardScan(Domain domain, Attribute attr,
                                          const ShardSpec& shard) {
-  if (options_.legacy_scan && !shard.whole()) {
-    return Status::InvalidArgument(
-        "sharded scans run the kernel path only; unset WSD_LEGACY_SCAN "
-        "(the frozen legacy oracle has no shard support)");
-  }
   auto web = BuildWeb(domain, attr);
   if (!web.ok()) return web.status();
 

@@ -35,17 +35,13 @@ struct StudyOptions {
   /// Multiplier on num_entities, num_sites and traffic populations. Set
   /// WSD_SCALE to raise (or shrink) every experiment uniformly.
   double scale = 1.0;
-  /// Run scans through ScanPipeline::RunLegacy (the pre-kernel path).
-  /// Escape hatch / ablation switch; set WSD_LEGACY_SCAN=1.
-  bool legacy_scan = false;
   /// On-disk scan artifact cache (see src/store). Empty disables it:
   /// scans are then memoized per Study but never persisted. Set via
   /// `--artifacts=DIR` in wsdctl or WSD_ARTIFACT_DIR.
   std::string artifact_dir;
 
   /// Reads WSD_SCALE / WSD_ENTITIES / WSD_SEED / WSD_THREADS /
-  /// WSD_LEGACY_SCAN / WSD_ARTIFACT_DIR from the environment on top of
-  /// the defaults.
+  /// WSD_ARTIFACT_DIR from the environment on top of the defaults.
   static StudyOptions FromEnv();
 
   /// num_entities with scale applied.
@@ -106,9 +102,8 @@ class Study {
   /// the memo and the artifact store describe whole-corpus scans, so a
   /// shard result deliberately bypasses both — its snapshot lives
   /// wherever the caller writes it (`wsdctl scan --shard --out`) and
-  /// `wsdctl merge` recombines the slices. Always runs the streaming
-  /// kernel; sharding the frozen legacy oracle is unsupported and a
-  /// non-whole spec with options().legacy_scan set is InvalidArgument.
+  /// `wsdctl merge` recombines the slices. The whole-corpus spec is the
+  /// uncached scan behind Scan().
   [[nodiscard]] StatusOr<ScanResult> RunShardScan(Domain domain,
                                                   Attribute attr,
                                                   const ShardSpec& shard);
@@ -164,9 +159,6 @@ class Study {
   [[nodiscard]] StatusOr<SyntheticWeb> BuildWeb(Domain domain, Attribute attr) const;
 
  private:
-  /// The actual scan (no caching): builds the web and runs the pipeline.
-  [[nodiscard]] StatusOr<ScanResult> RunScanUncached(Domain domain,
-                                                     Attribute attr);
   ArtifactKey KeyFor(Domain domain, Attribute attr) const;
 
   StudyOptions options_;

@@ -368,8 +368,8 @@ void MicrodataMatchInto(const DomainCatalog& catalog,
 // place allowed to switch on Attribute (lint: attr-switch-outside-registry).
 
 constexpr uint32_t kAllDomainsMask = (1u << kNumDomains) - 1;
-constexpr uint32_t kLocalBusinessMask =
-    kAllDomainsMask & ~(1u << static_cast<int>(Domain::kBooks));
+constexpr uint32_t kBooksMask = 1u << static_cast<int>(Domain::kBooks);
+constexpr uint32_t kLocalBusinessMask = kAllDomainsMask & ~kBooksMask;
 
 const AttributeSpec kSpecs[] = {
     {
@@ -377,7 +377,7 @@ const AttributeSpec kSpecs[] = {
         .wire_id = 0,
         .name = "isbn",
         .display_name = "ISBN",
-        .applicable_domains = kAllDomainsMask,
+        .applicable_domains = kBooksMask,
         .review_channel = false,
         .scan_raw_html = false,
         .min_snapshot_version = 2,  // kSnapshotSchemaVersionAligned
@@ -392,7 +392,7 @@ const AttributeSpec kSpecs[] = {
         .wire_id = 1,
         .name = "phone",
         .display_name = "phone",
-        .applicable_domains = kAllDomainsMask,
+        .applicable_domains = kLocalBusinessMask,
         .review_channel = false,
         .scan_raw_html = false,
         .min_snapshot_version = 2,
@@ -422,7 +422,7 @@ const AttributeSpec kSpecs[] = {
         .wire_id = 3,
         .name = "reviews",
         .display_name = "reviews",
-        .applicable_domains = kAllDomainsMask,
+        .applicable_domains = kLocalBusinessMask,
         .review_channel = true,
         .scan_raw_html = false,
         .min_snapshot_version = 2,

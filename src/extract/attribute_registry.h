@@ -41,8 +41,9 @@ struct AttributeSpec {
   std::string_view display_name;
 
   /// Bitmask over Domain enumerators: which domains the channel applies
-  /// to. The Table 1 attributes are left fully applicable to preserve the
-  /// historical behaviour of explicit (domain, attr) requests.
+  /// to. Requests outside it are InvalidArgument (HTTP 400), never a
+  /// scan: ISBNs exist only for books, and phone numbers (hence reviews,
+  /// whose pages carry them) only for local businesses.
   uint32_t applicable_domains = 0;
 
   /// Channel renders one page per (entity, mention) with prose, and the

@@ -40,7 +40,7 @@ size_t ApproxScanResultBytes(const ScanResult& result);
 /// LRU cache of shared scan results keyed by (domain, attr, seed,
 /// scale). Thread-safe. Misses run a real scan via an ephemeral Study
 /// configured from `base` options with the key's seed/scale overrides,
-/// so artifact_dir / num_entities / legacy_scan are honored.
+/// so artifact_dir / num_entities are honored.
 class ScanHandleCache {
  public:
   struct Key {
@@ -64,10 +64,10 @@ class ScanHandleCache {
     size_t bytes = 0;
   };
 
-  /// `base` supplies num_entities / threads / artifact_dir /
-  /// legacy_scan; seed and scale come from each key. `max_bytes` is the
-  /// eviction threshold; the most recently used entry is never evicted,
-  /// so even a zero budget keeps exactly one result resident.
+  /// `base` supplies num_entities / threads / artifact_dir; seed and
+  /// scale come from each key. `max_bytes` is the eviction threshold;
+  /// the most recently used entry is never evicted, so even a zero
+  /// budget keeps exactly one result resident.
   ///
   /// An entry larger than the whole budget is still admitted: the server
   /// has to hold the result in memory to answer the request anyway, so

@@ -42,8 +42,7 @@ std::string ArtifactKey::CanonicalString() const {
   out += "|entities=" + std::to_string(num_entities);
   out += "|seed=" + std::to_string(seed);
   out += "|scale_bits=" + HexU64(scale_bits);
-  out += "|legacy=";
-  out += legacy_scan ? '1' : '0';
+  out += "|legacy=0";
   return out;
 }
 
@@ -65,7 +64,6 @@ SnapshotMeta ArtifactKey::Meta() const {
   meta.num_entities = num_entities;
   meta.seed = seed;
   meta.scale_bits = CanonicalScaleBits(scale);
-  meta.legacy_scan = legacy_scan;
   meta.shard_index = 0;
   meta.shard_count = 1;
   return meta;
@@ -78,7 +76,6 @@ ArtifactKey ArtifactKey::FromMeta(const SnapshotMeta& meta) {
   key.num_entities = meta.num_entities;
   key.seed = meta.seed;
   std::memcpy(&key.scale, &meta.scale_bits, sizeof(key.scale));
-  key.legacy_scan = meta.legacy_scan;
   return key;
 }
 
@@ -110,11 +107,10 @@ StatusOr<ScanResult> ArtifactStore::Load(const ArtifactKey& key) const {
                       << "); falling back to live scan";
     return loaded.status();
   }
-  // An aligned snapshot names its own scan inputs; a file that does not
-  // match the key it sits under (copied, renamed, forged — including a
-  // merged shard installed under the wrong key) is corruption, not a
-  // hit. v1 artifacts carry no provenance to check.
-  if (loaded->meta.has_value() && !(*loaded->meta == key.Meta())) {
+  // A snapshot names its own scan inputs; a file that does not match the
+  // key it sits under (copied, renamed, forged — including a merged shard
+  // installed under the wrong key) is corruption, not a hit.
+  if (!(loaded->meta == key.Meta())) {
     verify_failures.Increment();
     WSD_LOG(kWarning) << "artifact " << path
                       << " provenance does not match its key; falling "

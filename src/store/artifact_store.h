@@ -21,12 +21,14 @@ struct ArtifactKey {
   uint32_t num_entities = 0;
   uint64_t seed = 0;
   double scale = 1.0;
-  bool legacy_scan = false;
 
   /// Canonical textual form of the key, including the snapshot schema
   /// version. `scale` is rendered as CanonicalScaleBits so every double
   /// spelling of the same numeric value (-0.0 vs 0.0, NaN payloads) maps
-  /// to one key — distinct *values* still never alias.
+  /// to one key — distinct *values* still never alias. The string ends
+  /// in a constant "|legacy=0": it once named a scan-path switch, and it
+  /// stays so that artifact filenames, and therefore existing stores,
+  /// keep their addresses.
   std::string CanonicalString() const;
 
   /// Cache filename: "<domain>-<attr>-<hash16>.wsdsnap", where hash16 is
@@ -52,9 +54,8 @@ struct ArtifactKey {
 /// as a non-OK Status the caller answers with a live scan. Store failures
 /// are likewise advisory: the freshly scanned result is still in hand.
 ///
-/// Snapshots are written in the aligned (v2) format with provenance and
-/// loaded through the zero-copy mmap path (wsd.store.mmap_loads); v1
-/// artifacts from older builds still load via the buffered decoder. A
+/// Snapshots are written in the aligned (v2/v3) format with provenance
+/// and loaded through the zero-copy mmap path (wsd.store.mmap_loads). A
 /// loaded snapshot's provenance must match the requested key — a file
 /// whose content disagrees with its name (copied, renamed, forged) is a
 /// verify failure, not a hit.

@@ -20,7 +20,7 @@ std::string ShardLabel(const SnapshotMeta& meta) {
 bool SameScanProvenance(const SnapshotMeta& a, const SnapshotMeta& b) {
   return a.domain == b.domain && a.attr == b.attr &&
          a.num_entities == b.num_entities && a.seed == b.seed &&
-         a.scale_bits == b.scale_bits && a.legacy_scan == b.legacy_scan;
+         a.scale_bits == b.scale_bits;
 }
 
 }  // namespace
@@ -53,23 +53,16 @@ StatusOr<ParsedSnapshot> MergeSnapshots(std::vector<ParsedSnapshot> shards) {
   if (shards.empty()) {
     return Status::InvalidArgument("merge requires at least one snapshot");
   }
-  for (const ParsedSnapshot& shard : shards) {
-    if (!shard.meta.has_value()) {
-      return Status::InvalidArgument(
-          "merge requires aligned (v2) snapshots carrying provenance; got "
-          "a v1 snapshot — re-emit it with `wsdctl scan`");
-    }
-  }
-  const SnapshotMeta& first = *shards.front().meta;
+  const SnapshotMeta& first = shards.front().meta;
   const uint32_t n = static_cast<uint32_t>(shards.size());
   std::vector<bool> seen_slot(n, false);
   for (const ParsedSnapshot& shard : shards) {
-    const SnapshotMeta& meta = *shard.meta;
+    const SnapshotMeta& meta = shard.meta;
     if (!SameScanProvenance(meta, first)) {
       return Status::InvalidArgument(
           "merge provenance mismatch: " + ShardLabel(meta) +
           " was scanned with different (domain, attr, entities, seed, "
-          "scale, legacy) inputs than " + ShardLabel(first));
+          "scale) inputs than " + ShardLabel(first));
     }
     if (meta.shard_count != n) {
       return Status::InvalidArgument(
@@ -91,8 +84,8 @@ StatusOr<ParsedSnapshot> MergeSnapshots(std::vector<ParsedSnapshot> shards) {
 
   ParsedSnapshot merged;
   merged.meta = first;
-  merged.meta->shard_index = 0;
-  merged.meta->shard_count = 1;
+  merged.meta.shard_index = 0;
+  merged.meta.shard_count = 1;
 
   std::vector<HostRecord> hosts;
   size_t total_hosts = 0;
@@ -101,12 +94,12 @@ StatusOr<ParsedSnapshot> MergeSnapshots(std::vector<ParsedSnapshot> shards) {
   }
   hosts.reserve(total_hosts);
   for (ParsedSnapshot& shard : shards) {
-    const ShardSpec slot{shard.meta->shard_index, shard.meta->shard_count};
+    const ShardSpec slot{shard.meta.shard_index, shard.meta.shard_count};
     for (HostRecord& h : shard.result.table.mutable_hosts()) {
       if (!slot.Owns(h.host)) {
         return Status::InvalidArgument(
             "host '" + h.host + "' does not belong to " +
-            ShardLabel(*shard.meta) + "; refusing to merge");
+            ShardLabel(shard.meta) + "; refusing to merge");
       }
       hosts.push_back(std::move(h));
     }
@@ -146,7 +139,7 @@ Status MergeSnapshotFiles(const std::vector<std::string>& inputs,
   if (!merged.ok()) return merged.status();
   // WriteSnapshotFileAligned writes via rename, so a failure here (or
   // anywhere above) leaves no partial file at out_path.
-  return WriteSnapshotFileAligned(out_path, merged->result, *merged->meta);
+  return WriteSnapshotFileAligned(out_path, merged->result, merged->meta);
 }
 
 }  // namespace wsd

@@ -25,9 +25,8 @@ namespace wsd {
 /// Combines per-shard snapshots into the single snapshot a monolithic
 /// scan of the same corpus would have produced (in canonical form, bit
 /// for bit). Validation is strict and the call fails closed:
-///   - every input must be an aligned (v2) snapshot carrying provenance;
 ///   - all inputs must agree on (domain, attr, num_entities, seed,
-///     scale_bits, legacy_scan);
+///     scale_bits);
 ///   - the shard slots must be exactly {0..n-1} of a shard_count equal to
 ///     the number of inputs — no missing, duplicate or foreign shards;
 ///   - every host must hash into its shard's slot (Fnv1a64(host) % n),

@@ -23,15 +23,12 @@ constexpr uint32_t kHostsSection = 2;
 constexpr uint32_t kMetaSection = 3;
 constexpr size_t kMagicLen = sizeof(kSnapshotMagic);
 
-// Fixed payload sizes of the aligned (v2) format.
+// Fixed section payload sizes.
 constexpr size_t kStatsPayloadAligned = 7 * 8;
 constexpr size_t kMetaPayloadAligned = 48;
 
 // ---------------------------------------------------------------------
-// Encoding primitives. Fixed-width integers are little-endian; counters
-// and ids in the v1 format are LEB128 varints (7 payload bits per byte,
-// high bit = continuation), which makes page counts and delta-encoded
-// entity ids mostly single bytes. The v2 format is fixed-width only.
+// Encoding primitives. Every integer is fixed-width little-endian.
 
 void PutU32Le(uint32_t v, std::string* out) {
   for (int shift = 0; shift < 32; shift += 8) {
@@ -43,14 +40,6 @@ void PutU64Le(uint64_t v, std::string* out) {
   for (int shift = 0; shift < 64; shift += 8) {
     out->push_back(static_cast<char>((v >> shift) & 0xff));
   }
-}
-
-void PutVarint(uint64_t v, std::string* out) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  out->push_back(static_cast<char>(v));
 }
 
 uint64_t Pad8(uint64_t n) { return (n + 7) & ~uint64_t{7}; }
@@ -93,21 +82,6 @@ class Reader {
     return true;
   }
 
-  bool ReadVarint(uint64_t* v) {
-    *v = 0;
-    for (int i = 0; i < 10; ++i) {
-      if (left_ == 0) return false;
-      const unsigned char byte = static_cast<unsigned char>(*p_);
-      ++p_;
-      --left_;
-      // The 10th byte may only carry the final bit of a 64-bit value.
-      if (i == 9 && byte > 1) return false;
-      *v |= static_cast<uint64_t>(byte & 0x7f) << (7 * i);
-      if ((byte & 0x80) == 0) return true;
-    }
-    return false;
-  }
-
   bool ReadBytes(size_t n, std::string_view* out) {
     if (left_ < n) return false;
     *out = std::string_view(p_, n);
@@ -121,47 +95,7 @@ class Reader {
   size_t left_;
 };
 
-// ---------------------------------------------------------------------
-// v1 section payloads.
-
-std::string EncodeStats(const ScanStats& stats) {
-  std::string out;
-  PutVarint(stats.hosts_scanned, &out);
-  PutVarint(stats.pages_scanned, &out);
-  PutVarint(stats.bytes_scanned, &out);
-  PutVarint(stats.entity_mentions, &out);
-  PutVarint(stats.review_pages, &out);
-  PutVarint(stats.skipped_urls, &out);
-  // Raw IEEE-754 bits so the round trip is bit-exact.
-  uint64_t wall_bits = 0;
-  static_assert(sizeof(wall_bits) == sizeof(stats.wall_seconds));
-  std::memcpy(&wall_bits, &stats.wall_seconds, sizeof(wall_bits));
-  PutU64Le(wall_bits, &out);
-  return out;
-}
-
-Status DecodeStats(std::string_view payload, ScanStats* stats) {
-  Reader reader(payload);
-  uint64_t wall_bits = 0;
-  if (!reader.ReadVarint(&stats->hosts_scanned) ||
-      !reader.ReadVarint(&stats->pages_scanned) ||
-      !reader.ReadVarint(&stats->bytes_scanned) ||
-      !reader.ReadVarint(&stats->entity_mentions) ||
-      !reader.ReadVarint(&stats->review_pages) ||
-      !reader.ReadVarint(&stats->skipped_urls) ||
-      !reader.ReadU64Le(&wall_bits)) {
-    return Status::Corruption("snapshot stats section truncated");
-  }
-  if (reader.left() != 0) {
-    return Status::Corruption("trailing bytes in snapshot stats section");
-  }
-  std::memcpy(&stats->wall_seconds, &wall_bits,
-              sizeof(stats->wall_seconds));
-  return Status::OK();
-}
-
-// Shared by both encoders: enforces the HostRecord contract before any
-// bytes are produced.
+// Enforces the HostRecord contract before any bytes are produced.
 Status ValidateHostContract(const HostRecord& h) {
   EntityId prev = 0;
   bool first = true;
@@ -178,128 +112,12 @@ Status ValidateHostContract(const HostRecord& h) {
   return Status::OK();
 }
 
-// Columnar table encoding: one column per field across all hosts, so
-// same-typed values sit together (short varints compress densely and
-// decode in tight loops). Entity ids are delta-encoded within each host —
-// the HostRecord contract keeps them sorted, so deltas are small.
-StatusOr<std::string> EncodeHosts(const HostEntityTable& table) {
-  std::string out;
-  PutVarint(table.num_hosts(), &out);
-  for (const HostRecord& h : table.hosts()) {
-    PutVarint(h.host.size(), &out);
-  }
-  for (const HostRecord& h : table.hosts()) out += h.host;
-  for (const HostRecord& h : table.hosts()) {
-    PutVarint(h.pages_scanned, &out);
-  }
-  for (const HostRecord& h : table.hosts()) {
-    PutVarint(h.bytes_scanned, &out);
-  }
-  for (const HostRecord& h : table.hosts()) {
-    PutVarint(h.entities.size(), &out);
-  }
-  for (const HostRecord& h : table.hosts()) {
-    WSD_RETURN_IF_ERROR(ValidateHostContract(h));
-    EntityId prev = 0;
-    bool first = true;
-    for (const EntityPages& ep : h.entities) {
-      PutVarint(first ? ep.entity : ep.entity - prev, &out);
-      prev = ep.entity;
-      first = false;
-    }
-  }
-  for (const HostRecord& h : table.hosts()) {
-    for (const EntityPages& ep : h.entities) PutVarint(ep.pages, &out);
-  }
-  return out;
-}
-
-Status DecodeHosts(std::string_view payload, HostEntityTable* table) {
-  Reader reader(payload);
-  const Status truncated =
-      Status::Corruption("snapshot hosts section truncated");
-
-  uint64_t num_hosts = 0;
-  if (!reader.ReadVarint(&num_hosts)) return truncated;
-  // Every host consumes at least one byte per column, so a count larger
-  // than the remaining payload cannot be honest. Rejecting here keeps a
-  // forged count from driving large allocations.
-  if (num_hosts > reader.left()) {
-    return Status::Corruption("snapshot host count exceeds payload");
-  }
-
-  std::vector<HostRecord> hosts(static_cast<size_t>(num_hosts));
-  std::vector<uint64_t> name_lengths(hosts.size());
-  for (size_t i = 0; i < hosts.size(); ++i) {
-    if (!reader.ReadVarint(&name_lengths[i])) return truncated;
-  }
-  for (size_t i = 0; i < hosts.size(); ++i) {
-    std::string_view name;
-    if (!reader.ReadBytes(static_cast<size_t>(name_lengths[i]), &name)) {
-      return truncated;
-    }
-    hosts[i].host.assign(name);
-  }
-  for (HostRecord& h : hosts) {
-    if (!reader.ReadVarint(&h.pages_scanned)) return truncated;
-  }
-  for (HostRecord& h : hosts) {
-    if (!reader.ReadVarint(&h.bytes_scanned)) return truncated;
-  }
-  std::vector<uint64_t> entity_counts(hosts.size());
-  for (size_t i = 0; i < hosts.size(); ++i) {
-    if (!reader.ReadVarint(&entity_counts[i])) return truncated;
-    // Each entity still needs an id varint and a pages varint.
-    if (entity_counts[i] > reader.left()) {
-      return Status::Corruption("snapshot entity count exceeds payload");
-    }
-  }
-  for (size_t i = 0; i < hosts.size(); ++i) {
-    hosts[i].entities.resize(static_cast<size_t>(entity_counts[i]));
-    uint64_t id = 0;
-    bool first = true;
-    for (EntityPages& ep : hosts[i].entities) {
-      uint64_t delta = 0;
-      if (!reader.ReadVarint(&delta)) return truncated;
-      id = first ? delta : id + delta;
-      first = false;
-      if (id >= kInvalidEntityId) {
-        return Status::Corruption("snapshot entity id out of range");
-      }
-      ep.entity = static_cast<EntityId>(id);
-    }
-  }
-  for (HostRecord& h : hosts) {
-    for (EntityPages& ep : h.entities) {
-      uint64_t pages = 0;
-      if (!reader.ReadVarint(&pages)) return truncated;
-      if (pages > UINT32_MAX) {
-        return Status::Corruption("snapshot page count out of range");
-      }
-      ep.pages = static_cast<uint32_t>(pages);
-    }
-  }
-  if (reader.left() != 0) {
-    return Status::Corruption("trailing bytes in snapshot hosts section");
-  }
-  *table = HostEntityTable(std::move(hosts));
-  return Status::OK();
-}
-
-void AppendSection(uint32_t id, std::string_view payload, std::string* out) {
-  PutU32Le(id, out);
-  PutU64Le(payload.size(), out);
-  PutU64Le(XxHash64(payload), out);
-  out->append(payload);
-}
-
 // ---------------------------------------------------------------------
-// v2 (aligned) section payloads. All integers little-endian fixed-width;
-// every payload is zero-padded to a multiple of 8 with the padding inside
-// both the section length and the checksum, so the format stays
-// byte-exactly canonical (any padding flip fails the checksum, and the
-// decoder additionally requires pad bytes to be zero so re-encoding a
-// valid snapshot is a byte-level fixed point).
+// Section payloads. Every payload is zero-padded to a multiple of 8 with
+// the padding inside both the section length and the checksum, so the
+// format stays byte-exactly canonical (any padding flip fails the
+// checksum, and the decoder additionally requires pad bytes to be zero
+// so re-encoding a valid snapshot is a byte-level fixed point).
 
 std::string EncodeStatsAligned(const ScanStats& stats) {
   std::string out;
@@ -360,7 +178,7 @@ std::string EncodeMetaAligned(const SnapshotMeta& meta) {
   PutU32Le(static_cast<uint32_t>(meta.domain), &out);
   PutU32Le(static_cast<uint32_t>(meta.attr), &out);
   PutU32Le(meta.num_entities, &out);
-  PutU32Le(meta.legacy_scan ? 1 : 0, &out);
+  PutU32Le(0, &out);  // reserved; decoder requires zero
   PutU64Le(meta.seed, &out);
   PutU64Le(meta.scale_bits, &out);
   PutU32Le(meta.shard_index, &out);
@@ -376,21 +194,16 @@ Status DecodeMetaAligned(std::string_view payload, SnapshotMeta* meta) {
   const unsigned char* p = Bytes(payload);
   using hash_internal::Load32Le;
   using hash_internal::Load64Le;
-  const uint64_t legacy = Load32Le(p + 12);
-  if (legacy > 1) {
-    return Status::Corruption("snapshot meta legacy flag out of range");
+  if (Load32Le(p + 12) != 0 || Load64Le(p + 40) != 0) {
+    return Status::Corruption("snapshot meta reserved field not zero");
   }
   meta->domain = static_cast<Domain>(Load32Le(p));
   meta->attr = static_cast<Attribute>(Load32Le(p + 4));
   meta->num_entities = static_cast<uint32_t>(Load32Le(p + 8));
-  meta->legacy_scan = legacy != 0;
   meta->seed = Load64Le(p + 16);
   meta->scale_bits = Load64Le(p + 24);
   meta->shard_index = static_cast<uint32_t>(Load32Le(p + 32));
   meta->shard_count = static_cast<uint32_t>(Load32Le(p + 36));
-  if (Load64Le(p + 40) != 0) {
-    return Status::Corruption("snapshot meta reserved field not zero");
-  }
   return ValidateMeta(*meta);
 }
 
@@ -555,132 +368,6 @@ void AppendSectionAligned(uint32_t id, std::string_view payload,
   out->append(payload);
 }
 
-// The shared v2/v3 decoder: works over any contiguous byte range, so the
-// buffered parser and the mmap loader validate identically. No varint is
-// ever decoded on this path. The two versions share one layout; the
-// header version only gates which attribute vocabulary the file may use.
-StatusOr<ParsedSnapshot> ParseAligned(std::string_view bytes) {
-  Reader reader(bytes);
-  std::string_view magic;
-  if (!reader.ReadBytes(kMagicLen, &magic)) {
-    return Status::Corruption("snapshot header truncated");
-  }
-  uint32_t version = 0;
-  uint32_t num_sections = 0;
-  if (!reader.ReadU32Le(&version) || !reader.ReadU32Le(&num_sections)) {
-    return Status::Corruption("snapshot header truncated");
-  }
-  if (num_sections != 3) {
-    return Status::Corruption("unexpected snapshot section count");
-  }
-
-  ParsedSnapshot parsed;
-  parsed.meta.emplace();
-  const uint32_t expected_ids[3] = {kStatsSection, kMetaSection,
-                                    kHostsSection};
-  for (uint32_t expected : expected_ids) {
-    uint32_t id = 0;
-    uint32_t flags = 0;
-    uint64_t length = 0;
-    uint64_t checksum = 0;
-    if (!reader.ReadU32Le(&id) || !reader.ReadU32Le(&flags) ||
-        !reader.ReadU64Le(&length) || !reader.ReadU64Le(&checksum)) {
-      return Status::Corruption("snapshot section header truncated");
-    }
-    if (id != expected) {
-      return Status::Corruption("unexpected snapshot section id " +
-                                std::to_string(id));
-    }
-    if (flags != 0) {
-      return Status::Corruption("snapshot section flags not zero");
-    }
-    std::string_view payload;
-    if (length % 8 != 0 || length > reader.left() ||
-        !reader.ReadBytes(static_cast<size_t>(length), &payload)) {
-      return Status::Corruption("snapshot section payload truncated");
-    }
-    if (XxHash64(payload) != checksum) {
-      return Status::Corruption("snapshot section " + std::to_string(id) +
-                                " checksum mismatch");
-    }
-    Status decoded = Status::OK();
-    switch (id) {
-      case kStatsSection:
-        decoded = DecodeStatsAligned(payload, &parsed.result.stats);
-        break;
-      case kMetaSection:
-        decoded = DecodeMetaAligned(payload, &*parsed.meta);
-        break;
-      default:
-        decoded = DecodeHostsAligned(payload, &parsed.result.table);
-        break;
-    }
-    WSD_RETURN_IF_ERROR(decoded);
-  }
-  if (reader.left() != 0) {
-    return Status::Corruption("trailing bytes after snapshot sections");
-  }
-  // Version/vocabulary cross-check: a file claiming an old header version
-  // must not carry an attribute introduced after that version — genuine
-  // old writers could not have produced it, so it is corrupt or forged.
-  if (SnapshotVersionFor(parsed.meta->attr) > version) {
-    return Status::Corruption(
-        "snapshot meta attribute requires schema v" +
-        std::to_string(SnapshotVersionFor(parsed.meta->attr)) +
-        " but file is v" + std::to_string(version));
-  }
-  return parsed;
-}
-
-StatusOr<ParsedSnapshot> ParseV1(std::string_view bytes) {
-  Reader reader(bytes);
-  std::string_view magic;
-  if (!reader.ReadBytes(kMagicLen, &magic)) {
-    return Status::Corruption("snapshot header truncated");
-  }
-  uint32_t version = 0;
-  uint32_t num_sections = 0;
-  if (!reader.ReadU32Le(&version) || !reader.ReadU32Le(&num_sections)) {
-    return Status::Corruption("snapshot header truncated");
-  }
-  if (num_sections != 2) {
-    return Status::Corruption("unexpected snapshot section count");
-  }
-
-  ParsedSnapshot parsed;
-  const uint32_t expected_ids[2] = {kStatsSection, kHostsSection};
-  for (uint32_t expected : expected_ids) {
-    uint32_t id = 0;
-    uint64_t length = 0;
-    uint64_t checksum = 0;
-    if (!reader.ReadU32Le(&id) || !reader.ReadU64Le(&length) ||
-        !reader.ReadU64Le(&checksum)) {
-      return Status::Corruption("snapshot section header truncated");
-    }
-    if (id != expected) {
-      return Status::Corruption("unexpected snapshot section id " +
-                                std::to_string(id));
-    }
-    std::string_view payload;
-    if (length > reader.left() ||
-        !reader.ReadBytes(static_cast<size_t>(length), &payload)) {
-      return Status::Corruption("snapshot section payload truncated");
-    }
-    if (XxHash64(payload) != checksum) {
-      return Status::Corruption("snapshot section " + std::to_string(id) +
-                                " checksum mismatch");
-    }
-    const Status decoded =
-        id == kStatsSection ? DecodeStats(payload, &parsed.result.stats)
-                            : DecodeHosts(payload, &parsed.result.table);
-    WSD_RETURN_IF_ERROR(decoded);
-  }
-  if (reader.left() != 0) {
-    return Status::Corruption("trailing bytes after snapshot sections");
-  }
-  return parsed;
-}
-
 /// Owning read-only mapping of a whole file. The extent is fixed at
 /// fstat time and every parser access is bounds-checked against it, so a
 /// short file fails closed in the parser instead of faulting.
@@ -747,19 +434,6 @@ uint64_t CanonicalScaleBits(double scale) {
   return bits;
 }
 
-StatusOr<std::string> SerializeSnapshot(const ScanResult& result) {
-  auto hosts_payload = EncodeHosts(result.table);
-  if (!hosts_payload.ok()) return hosts_payload.status();
-
-  std::string out;
-  out.append(kSnapshotMagic, kMagicLen);
-  PutU32Le(kSnapshotSchemaVersion, &out);
-  PutU32Le(2, &out);  // section count
-  AppendSection(kStatsSection, EncodeStats(result.stats), &out);
-  AppendSection(kHostsSection, *hosts_payload, &out);
-  return out;
-}
-
 StatusOr<std::string> SerializeSnapshotAligned(const ScanResult& result,
                                                const SnapshotMeta& meta) {
   {
@@ -793,29 +467,78 @@ StatusOr<ParsedSnapshot> ParseSnapshotFull(std::string_view bytes) {
   if (!reader.ReadU32Le(&version)) {
     return Status::Corruption("snapshot header truncated");
   }
-  if (version == kSnapshotSchemaVersion) return ParseV1(bytes);
-  if (version == kSnapshotSchemaVersionAligned ||
-      version == kSnapshotSchemaVersionV3) {
-    return ParseAligned(bytes);
+  if (version != kSnapshotSchemaVersionAligned &&
+      version != kSnapshotSchemaVersionV3) {
+    return Status::Corruption(
+        "snapshot schema version mismatch (file v" + std::to_string(version) +
+        ", loader v" + std::to_string(kSnapshotSchemaVersionAligned) + "/v" +
+        std::to_string(kSnapshotSchemaVersionV3) + ")");
   }
-  return Status::Corruption(
-      "snapshot schema version mismatch (file v" + std::to_string(version) +
-      ", loader v" + std::to_string(kSnapshotSchemaVersion) + "/v" +
-      std::to_string(kSnapshotSchemaVersionAligned) + "/v" +
-      std::to_string(kSnapshotSchemaVersionV3) + ")");
-}
+  uint32_t num_sections = 0;
+  if (!reader.ReadU32Le(&num_sections)) {
+    return Status::Corruption("snapshot header truncated");
+  }
+  if (num_sections != 3) {
+    return Status::Corruption("unexpected snapshot section count");
+  }
 
-StatusOr<ScanResult> ParseSnapshot(std::string_view bytes) {
-  auto parsed = ParseSnapshotFull(bytes);
-  if (!parsed.ok()) return parsed.status();
-  return std::move(parsed->result);
-}
-
-Status WriteSnapshotFile(const std::string& path,
-                         const ScanResult& result) {
-  auto bytes = SerializeSnapshot(result);
-  if (!bytes.ok()) return bytes.status();
-  return WriteFileAtomic(path, *bytes);
+  // v2 and v3 share one layout; the header version only gates which
+  // attribute vocabulary the file may use.
+  ParsedSnapshot parsed;
+  const uint32_t expected_ids[3] = {kStatsSection, kMetaSection,
+                                    kHostsSection};
+  for (uint32_t expected : expected_ids) {
+    uint32_t id = 0;
+    uint32_t flags = 0;
+    uint64_t length = 0;
+    uint64_t checksum = 0;
+    if (!reader.ReadU32Le(&id) || !reader.ReadU32Le(&flags) ||
+        !reader.ReadU64Le(&length) || !reader.ReadU64Le(&checksum)) {
+      return Status::Corruption("snapshot section header truncated");
+    }
+    if (id != expected) {
+      return Status::Corruption("unexpected snapshot section id " +
+                                std::to_string(id));
+    }
+    if (flags != 0) {
+      return Status::Corruption("snapshot section flags not zero");
+    }
+    std::string_view payload;
+    if (length % 8 != 0 || length > reader.left() ||
+        !reader.ReadBytes(static_cast<size_t>(length), &payload)) {
+      return Status::Corruption("snapshot section payload truncated");
+    }
+    if (XxHash64(payload) != checksum) {
+      return Status::Corruption("snapshot section " + std::to_string(id) +
+                                " checksum mismatch");
+    }
+    Status decoded = Status::OK();
+    switch (id) {
+      case kStatsSection:
+        decoded = DecodeStatsAligned(payload, &parsed.result.stats);
+        break;
+      case kMetaSection:
+        decoded = DecodeMetaAligned(payload, &parsed.meta);
+        break;
+      default:
+        decoded = DecodeHostsAligned(payload, &parsed.result.table);
+        break;
+    }
+    WSD_RETURN_IF_ERROR(decoded);
+  }
+  if (reader.left() != 0) {
+    return Status::Corruption("trailing bytes after snapshot sections");
+  }
+  // Version/vocabulary cross-check: a file claiming an old header version
+  // must not carry an attribute introduced after that version — genuine
+  // old writers could not have produced it, so it is corrupt or forged.
+  if (SnapshotVersionFor(parsed.meta.attr) > version) {
+    return Status::Corruption(
+        "snapshot meta attribute requires schema v" +
+        std::to_string(SnapshotVersionFor(parsed.meta.attr)) +
+        " but file is v" + std::to_string(version));
+  }
+  return parsed;
 }
 
 Status WriteSnapshotFileAligned(const std::string& path,
@@ -826,46 +549,21 @@ Status WriteSnapshotFileAligned(const std::string& path,
   return WriteFileAtomic(path, *bytes);
 }
 
-StatusOr<ScanResult> ReadSnapshotFile(const std::string& path) {
-  auto bytes = ReadFileToString(path);
-  if (!bytes.ok()) return bytes.status();
-  return ParseSnapshot(*bytes);
-}
-
 StatusOr<ParsedSnapshot> LoadSnapshotFile(const std::string& path) {
   static Counter& mmap_loads =
       MetricsRegistry::Global().GetCounter("wsd.store.mmap_loads");
-  static Counter& mmap_fallbacks =
-      MetricsRegistry::Global().GetCounter("wsd.store.mmap_fallbacks");
   static Counter& mmap_bytes =
       MetricsRegistry::Global().GetCounter("wsd.store.mmap_bytes");
 
   auto mapped = MappedFile::Open(path);
-  if (mapped.ok()) {
-    const std::string_view bytes = mapped->view();
-    // Only the aligned format (v2/v3) is read in place; a v1 file needs
-    // the varint decoder and gains nothing from the mapping.
-    const uint32_t mapped_version =
-        bytes.size() >= kMagicLen + 4 &&
-                std::memcmp(bytes.data(), kSnapshotMagic, kMagicLen) == 0
-            ? hash_internal::Load32Le(Bytes(bytes) + kMagicLen)
-            : 0;
-    if (mapped_version == kSnapshotSchemaVersionAligned ||
-        mapped_version == kSnapshotSchemaVersionV3) {
-      auto parsed = ParseSnapshotFull(bytes);
-      if (parsed.ok()) {
-        mmap_loads.Increment();
-        mmap_bytes.Increment(bytes.size());
-      }
-      // A corrupt aligned file is an error on both paths — same bytes
-      // either way — so no fallback.
-      return parsed;
-    }
+  if (!mapped.ok()) return mapped.status();
+  const std::string_view bytes = mapped->view();
+  auto parsed = ParseSnapshotFull(bytes);
+  if (parsed.ok()) {
+    mmap_loads.Increment();
+    mmap_bytes.Increment(bytes.size());
   }
-  mmap_fallbacks.Increment();
-  auto bytes = ReadFileToString(path);
-  if (!bytes.ok()) return bytes.status();
-  return ParseSnapshotFull(*bytes);
+  return parsed;
 }
 
 }  // namespace wsd

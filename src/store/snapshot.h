@@ -2,7 +2,6 @@
 #define WSD_STORE_SNAPSHOT_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -13,21 +12,19 @@
 
 namespace wsd {
 
-/// Binary layout versions of the scan snapshot. Version 1 is the compact
-/// varint/delta columnar encoding; version 2 is the aligned fixed-width
-/// columnar encoding (8-byte aligned sections, zero-padded payloads) that
-/// the zero-copy mmap loader reads directly, and the only version that
-/// carries provenance (SnapshotMeta), which `wsdctl merge` requires.
-/// Version 3 is byte-identical to version 2 in layout; the bump exists so
-/// snapshots of post-v2 attribute channels (schema.org microdata, wire id
-/// 4) are rejected fail-closed by v1/v2-era readers instead of being
-/// decoded under an attribute vocabulary that cannot represent them. The
-/// version an aligned snapshot is written with is per-attribute (see
-/// SnapshotVersionFor), so legacy-channel snapshots remain byte-identical
-/// to the v2 era. The loader accepts exactly these three versions and
-/// rejects every other (stale artifacts then fall back to a live scan
-/// rather than being misread).
-inline constexpr uint32_t kSnapshotSchemaVersion = 1;
+/// Binary layout versions of the scan snapshot. Version 2 is the aligned
+/// fixed-width columnar encoding (8-byte aligned sections, zero-padded
+/// payloads) that the zero-copy mmap loader reads directly, carrying
+/// provenance (SnapshotMeta). Version 3 is byte-identical to version 2 in
+/// layout; the bump exists so snapshots of post-v2 attribute channels
+/// (schema.org microdata, wire id 4) are rejected fail-closed by
+/// v2-era readers instead of being decoded under an attribute vocabulary
+/// that cannot represent them. The version a snapshot is written with is
+/// per-attribute (see SnapshotVersionFor), so legacy-channel snapshots
+/// remain byte-identical to the v2 era. The loader accepts exactly these
+/// two versions and rejects every other, including the retired compact
+/// v1 encoding (stale artifacts then fall back to a live scan rather
+/// than being misread).
 inline constexpr uint32_t kSnapshotSchemaVersionAligned = 2;
 inline constexpr uint32_t kSnapshotSchemaVersionV3 = 3;
 
@@ -51,17 +48,16 @@ inline constexpr char kSnapshotMagic[8] = {'W', 'S', 'D', 'S',
 [[nodiscard]] uint64_t CanonicalScaleBits(double scale);
 
 /// Provenance of one scan snapshot: the exact inputs that determine the
-/// scan output, plus which corpus slice this snapshot covers. Carried in
-/// aligned (v2) snapshots only; `wsdctl merge` refuses shards whose
-/// provenance disagrees, and the ArtifactStore cross-checks it against
-/// the requested key on load.
+/// scan output, plus which corpus slice this snapshot covers. Every
+/// snapshot carries one; `wsdctl merge` refuses shards whose provenance
+/// disagrees, and the ArtifactStore cross-checks it against the
+/// requested key on load.
 struct SnapshotMeta {
   Domain domain = Domain::kRestaurants;
   Attribute attr = Attribute::kPhone;
   uint32_t num_entities = 0;
   uint64_t seed = 0;
   uint64_t scale_bits = 0;  // CanonicalScaleBits of the scan scale
-  bool legacy_scan = false;
   /// Corpus slice: hosts with Fnv1a64(host) % shard_count == shard_index.
   /// A monolithic (or merged) snapshot is shard 0 of 1.
   uint32_t shard_index = 0;
@@ -70,32 +66,16 @@ struct SnapshotMeta {
   friend bool operator==(const SnapshotMeta& a, const SnapshotMeta& b) {
     return a.domain == b.domain && a.attr == b.attr &&
            a.num_entities == b.num_entities && a.seed == b.seed &&
-           a.scale_bits == b.scale_bits && a.legacy_scan == b.legacy_scan &&
-           a.shard_index == b.shard_index && a.shard_count == b.shard_count;
+           a.scale_bits == b.scale_bits && a.shard_index == b.shard_index &&
+           a.shard_count == b.shard_count;
   }
 };
 
-/// A decoded snapshot: the scan result plus its provenance when the file
-/// carried one (aligned v2 snapshots always do; v1 snapshots never do).
+/// A decoded snapshot: the scan result plus its provenance.
 struct ParsedSnapshot {
   ScanResult result;
-  std::optional<SnapshotMeta> meta;
+  SnapshotMeta meta;
 };
-
-/// Encodes `result` (the HostEntityTable plus its ScanStats) into the
-/// compact (v1) binary snapshot format:
-///
-///   magic "WSDSNAP1" | version u32 | section count u32
-///   per section: id u32 | payload length u64 | XXH64 checksum u64 | payload
-///
-/// Section 1 carries the varint-encoded ScanStats; section 2 carries the
-/// table in columnar form (name lengths, name bytes, per-host page/byte
-/// totals, per-host entity counts, delta-encoded entity ids, per-edge
-/// page counts — every integer LEB128 varint). See docs/ARCHITECTURE.md,
-/// "Artifact store". Returns InvalidArgument when the table violates the
-/// HostRecord contract (entity ids not sorted, or an invalid id).
-[[nodiscard]] StatusOr<std::string> SerializeSnapshot(
-    const ScanResult& result);
 
 /// Encodes `result` + `meta` into the aligned (v2/v3) snapshot format:
 ///
@@ -106,10 +86,11 @@ struct ParsedSnapshot {
 ///
 /// Sections (in file order): 1 = ScanStats as seven u64le words; 3 =
 /// SnapshotMeta (fixed 48 bytes, ahead of the bulk data so provenance is
-/// readable from the first ~150 bytes); 2 = the host table as fixed-width
-/// little-endian columns (host/edge counts, name-offset prefix sums, name
-/// blob, per-host page/byte u64 columns, entity-offset prefix sums, u32
-/// entity-id and entity-page columns). Every section starts 8-byte
+/// readable from the first ~150 bytes; the u32 at payload offset 12 and
+/// the trailing u64 are reserved and must be zero); 2 = the host table
+/// as fixed-width little-endian columns (host/edge counts, name-offset
+/// prefix sums, name blob, per-host page/byte u64 columns, entity-offset
+/// prefix sums, u32 entity-id and entity-page columns). Every section starts 8-byte
 /// aligned and padding is inside both the length and the checksum, so the
 /// mmap loader can read columns in place and any padding flip still fails
 /// the checksum. Returns InvalidArgument on HostRecord-contract
@@ -117,44 +98,29 @@ struct ParsedSnapshot {
 [[nodiscard]] StatusOr<std::string> SerializeSnapshotAligned(
     const ScanResult& result, const SnapshotMeta& meta);
 
-/// Decodes a snapshot of either version. Validates the magic, schema
-/// version, section framing and per-section checksums, and bounds-checks
+/// Decodes a snapshot. Validates the magic, schema version, section
+/// framing, per-section checksums and reserved words, and bounds-checks
 /// every count and offset; malformed, truncated, bit-flipped or foreign
 /// input yields a Corruption status (never a crash — fuzzed by
-/// fuzz/fuzz_snapshot.cc). A clean round trip is bit-identical: the
-/// parsed table compares equal to the serialized one field by field.
-[[nodiscard]] StatusOr<ScanResult> ParseSnapshot(std::string_view bytes);
-
-/// ParseSnapshot, also surfacing the provenance of v2 snapshots.
+/// fuzz/fuzz_snapshot.cc). Encoding is canonical: re-serializing a parsed
+/// snapshot reproduces its bytes exactly.
 [[nodiscard]] StatusOr<ParsedSnapshot> ParseSnapshotFull(
     std::string_view bytes);
 
-/// Serializes `result` (v1 compact form) and atomically replaces `path`
-/// with it (write-via-rename, so readers never observe a torn snapshot).
-[[nodiscard]] Status WriteSnapshotFile(const std::string& path,
-                                       const ScanResult& result);
-
-/// Serializes `result` + `meta` in the aligned (v2) form and atomically
-/// replaces `path` with it.
+/// Serializes `result` + `meta` and atomically replaces `path` with it
+/// (write-via-rename, so readers never observe a torn snapshot).
 [[nodiscard]] Status WriteSnapshotFileAligned(const std::string& path,
                                               const ScanResult& result,
                                               const SnapshotMeta& meta);
 
-/// Reads and validates the snapshot at `path` (buffered read + decode).
-[[nodiscard]] StatusOr<ScanResult> ReadSnapshotFile(const std::string& path);
-
-/// Loads the snapshot at `path` on the fastest correct path. Aligned
-/// (v2) files are mmap'd and their columns bulk-copied in place — zero
-/// varint decode work, counted in wsd.store.mmap_loads — after the same
-/// checksum and bounds validation as the buffered parser, with every
-/// access bounds-checked against the mapped extent taken at open time
-/// (the store only ever replaces snapshots via atomic rename, never
+/// Loads the snapshot at `path` zero-copy: the file is mmap'd and its
+/// columns bulk-copied in place (counted in wsd.store.mmap_loads) after
+/// the same checksum and bounds validation as ParseSnapshotFull, with
+/// every access bounds-checked against the mapped extent taken at open
+/// time (the store only ever replaces snapshots via atomic rename, never
 /// truncates in place, so the mapping cannot shrink under us and a
-/// truncated file fails closed instead of faulting). v1 files, and any
-/// platform/file where mmap is unavailable, fall back to the buffered
-/// decoder (counted in wsd.store.mmap_fallbacks). A corrupt v2 file is an
-/// error on both paths, not a fallback: the bytes are the same either
-/// way.
+/// truncated file fails closed instead of faulting). A file that cannot
+/// be mapped is an IOError; a corrupt one is Corruption.
 [[nodiscard]] StatusOr<ParsedSnapshot> LoadSnapshotFile(
     const std::string& path);
 

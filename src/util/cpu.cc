@@ -4,25 +4,12 @@ namespace wsd {
 
 #if defined(__x86_64__) || defined(__i386__)
 
-bool CpuHasSse2() { return __builtin_cpu_supports("sse2") != 0; }
 bool CpuHasAvx2() { return __builtin_cpu_supports("avx2") != 0; }
 
 #else
 
-bool CpuHasSse2() { return false; }
 bool CpuHasAvx2() { return false; }
 
 #endif
-
-std::string CpuFeatureSummary() {
-  std::string out;
-  if (CpuHasSse2()) out += "sse2";
-  if (CpuHasAvx2()) {
-    if (!out.empty()) out += ' ';
-    out += "avx2";
-  }
-  if (out.empty()) out = "none";
-  return out;
-}
 
 }  // namespace wsd

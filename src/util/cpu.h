@@ -1,23 +1,15 @@
 #ifndef WSD_UTIL_CPU_H_
 #define WSD_UTIL_CPU_H_
 
-#include <string>
-
 namespace wsd {
 
 /// Runtime CPU feature detection for the SIMD scan-kernel dispatch
-/// (util/simd.h). Each probe reflects what the *machine we are running
+/// (util/simd.h). The probe reflects what the *machine we are running
 /// on* supports, independent of the flags this binary was compiled
 /// with — the scan kernels are built with per-function target
 /// attributes precisely so one binary runs everywhere. On non-x86
-/// targets both probes return false and dispatch falls back to the
-/// portable SWAR/scalar tiers.
-bool CpuHasSse2();
+/// targets the probe returns false and dispatch uses the scalar tier.
 bool CpuHasAvx2();
-
-/// Space-separated list of the detected features above (e.g.
-/// "sse2 avx2", or "none"), for the one-time dispatch log line.
-std::string CpuFeatureSummary();
 
 }  // namespace wsd
 

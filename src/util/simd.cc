@@ -1,13 +1,13 @@
-// Per-tier implementations of the scan-kernel primitives and the runtime
-// dispatch that selects among them. This is the only translation unit in
-// the library allowed to use <immintrin.h> / vector intrinsics (enforced
-// by wsd_lint's [simd-confinement] rule); everything here is compiled
-// with per-function target attributes — never -march=native — so one
-// binary carries every tier and CPUID picks at startup.
+// The scalar and AVX2 implementations of the scan-kernel primitives and
+// the runtime dispatch that selects between them. This is the only
+// translation unit in the library allowed to use <immintrin.h> / vector
+// intrinsics (enforced by wsd_lint's [simd-confinement] rule); the AVX2
+// kernels carry per-function target attributes — never -march=native —
+// so one binary runs everywhere and CPUID picks at startup.
 //
 // All builders share one contract (see ScanOps in simd.h): one bit per
 // input byte, 64-byte blocks map to one output word per plane, tail bits
-// past n are zero, and every tier is bit-identical to the kScalar
+// past n are zero, and the AVX2 tier is bit-identical to the kScalar
 // reference (simd_test proves it per primitive; the kernel equivalence
 // tests and differential fuzzers prove it end to end).
 
@@ -145,137 +145,6 @@ size_t FindCiScalar(const char* s, size_t n, size_t from,
   return npos;
 }
 
-// --------------------------------------------------------------------
-// SWAR tier: the same block contract with plain uint64 arithmetic —
-// portable to any 64-bit target. Eight bytes per step; per-byte
-// predicates become high-bit-per-byte masks which a multiply folds into
-// a movemask.
-// --------------------------------------------------------------------
-
-constexpr uint64_t kOnes = 0x0101010101010101ULL;
-constexpr uint64_t kLow7 = 0x7F7F7F7F7F7F7F7FULL;
-constexpr uint64_t kHigh = 0x8080808080808080ULL;
-
-uint64_t Load8(const char* p) {
-  uint64_t x;
-  std::memcpy(&x, p, 8);
-  return x;
-}
-
-// High bit per byte set iff the byte equals c (cc = c * kOnes). Exact
-// for all byte values: the masked add keeps carries inside each byte.
-uint64_t SwarEqHigh(uint64_t x, uint64_t cc) {
-  const uint64_t v = x ^ cc;
-  return ~(((v & kLow7) + kLow7) | v | kLow7);
-}
-
-// High bit per byte set iff the byte >= c (unsigned), for 0 < c <= 0x80.
-uint64_t SwarGeHigh(uint64_t x, uint8_t c) {
-  return (((x & kLow7) + static_cast<uint64_t>(0x80 - c) * kOnes) | x) &
-         kHigh;
-}
-
-// High bit per byte set iff the byte is an ASCII digit.
-uint64_t SwarDigitHigh(uint64_t x) {
-  return SwarGeHigh(x, '0') & ~SwarGeHigh(x, '9' + 1);
-}
-
-// Folds a high-bit-per-byte mask into 8 low bits (bit j = byte j).
-uint64_t SwarMovemask(uint64_t high) {
-  return (high >> 7) * 0x0102040810204080ULL >> 56;
-}
-
-// Runs `block` over every full 64-byte block of s, then once more over a
-// zero-padded copy of the tail. Zero padding yields zero mask bits for
-// every class used here, so tail bits past n come out clear.
-template <typename BlockFn>
-void ForEachBlock64(const char* s, size_t n, BlockFn block) {
-  const size_t full = n / 64;
-  for (size_t w = 0; w < full; ++w) block(w, s + w * 64);
-  if (n % 64 != 0) {
-    char buf[64] = {};
-    std::memcpy(buf, s + full * 64, n % 64);
-    block(full, buf);
-  }
-}
-
-void BuildHtmlSwar(const char* s, size_t n, uint64_t* lt, uint64_t* amp,
-                   uint64_t* gt, uint64_t* quote) {
-  constexpr uint64_t kLt = uint64_t{'<'} * kOnes;
-  constexpr uint64_t kAmp = uint64_t{'&'} * kOnes;
-  constexpr uint64_t kGt = uint64_t{'>'} * kOnes;
-  constexpr uint64_t kDq = uint64_t{'"'} * kOnes;
-  constexpr uint64_t kSq = uint64_t{'\''} * kOnes;
-  ForEachBlock64(s, n, [&](size_t w, const char* p) {
-    uint64_t l = 0, a = 0, g = 0, q = 0;
-    for (int k = 0; k < 8; ++k) {
-      const uint64_t x = Load8(p + 8 * k);
-      l |= SwarMovemask(SwarEqHigh(x, kLt)) << (8 * k);
-      a |= SwarMovemask(SwarEqHigh(x, kAmp)) << (8 * k);
-      g |= SwarMovemask(SwarEqHigh(x, kGt)) << (8 * k);
-      q |= SwarMovemask(SwarEqHigh(x, kDq) | SwarEqHigh(x, kSq)) << (8 * k);
-    }
-    lt[w] = l;
-    amp[w] = a;
-    gt[w] = g;
-    quote[w] = q;
-  });
-}
-
-void BuildPhoneCandidatesSwar(const char* s, size_t n, uint64_t* bits) {
-  constexpr uint64_t kParen = uint64_t{'('} * kOnes;
-  constexpr uint64_t kPlus = uint64_t{'+'} * kOnes;
-  uint64_t carry = 0;  // bit 0: previous block's last byte was a digit
-  ForEachBlock64(s, n, [&](size_t w, const char* p) {
-    uint64_t digits = 0, starts = 0;
-    for (int k = 0; k < 8; ++k) {
-      const uint64_t x = Load8(p + 8 * k);
-      digits |= SwarMovemask(SwarDigitHigh(x)) << (8 * k);
-      starts |= SwarMovemask(SwarEqHigh(x, kParen) | SwarEqHigh(x, kPlus))
-                << (8 * k);
-    }
-    bits[w] = (digits & ~((digits << 1) | carry)) | starts;
-    carry = digits >> 63;
-  });
-}
-
-void BuildIsbnCandidatesSwar(const char* s, size_t n, uint64_t* bits) {
-  constexpr uint64_t kDash = uint64_t{'-'} * kOnes;
-  constexpr uint64_t kXu = uint64_t{'X'} * kOnes;
-  constexpr uint64_t kXl = uint64_t{'x'} * kOnes;
-  uint64_t carry = 0;  // bit 0: previous block's last byte was a body char
-  ForEachBlock64(s, n, [&](size_t w, const char* p) {
-    uint64_t digits = 0, body = 0;
-    for (int k = 0; k < 8; ++k) {
-      const uint64_t x = Load8(p + 8 * k);
-      const uint64_t d = SwarDigitHigh(x);
-      digits |= SwarMovemask(d) << (8 * k);
-      body |= SwarMovemask(d | SwarEqHigh(x, kDash) | SwarEqHigh(x, kXu) |
-                           SwarEqHigh(x, kXl))
-              << (8 * k);
-    }
-    bits[w] = digits & ~((body << 1) | carry);
-    carry = body >> 63;
-  });
-}
-
-void BuildWordCharsSwar(const char* s, size_t n, uint64_t* bits) {
-  constexpr uint64_t kApos = uint64_t{'\''} * kOnes;
-  ForEachBlock64(s, n, [&](size_t w, const char* p) {
-    uint64_t b = 0;
-    for (int k = 0; k < 8; ++k) {
-      const uint64_t x = Load8(p + 8 * k);
-      const uint64_t word_char =
-          SwarDigitHigh(x) |
-          (SwarGeHigh(x, 'a') & ~SwarGeHigh(x, 'z' + 1)) |
-          (SwarGeHigh(x, 'A') & ~SwarGeHigh(x, 'Z' + 1)) |
-          SwarEqHigh(x, kApos);
-      b |= SwarMovemask(word_char) << (8 * k);
-    }
-    bits[w] = b;
-  });
-}
-
 #if WSD_SIMD_X86
 
 // Per-block helpers below carry the same target attribute as their
@@ -286,245 +155,9 @@ void BuildWordCharsSwar(const char* s, size_t n, uint64_t* bits) {
 // bits clear.
 
 // --------------------------------------------------------------------
-// SSE2 tier: 16-byte classifiers, four loads per 64-byte block. Range
+// AVX2 tier: 32 bytes per load, two loads per 64-byte block. Range
 // classes (digits, letters) use saturating subtraction, which is exact
 // for all byte values including >= 0x80 (UTF-8 continuation bytes).
-// --------------------------------------------------------------------
-
-__attribute__((target("sse2"), always_inline)) inline uint64_t Mask16(
-    __m128i m) {
-  return static_cast<uint64_t>(
-      static_cast<uint32_t>(_mm_movemask_epi8(m)));
-}
-
-__attribute__((target("sse2"), always_inline)) inline __m128i InRange16(
-    __m128i x, char lo, char hi) {
-  const __m128i zero = _mm_setzero_si128();
-  return _mm_and_si128(
-      _mm_cmpeq_epi8(_mm_subs_epu8(x, _mm_set1_epi8(hi)), zero),
-      _mm_cmpeq_epi8(_mm_subs_epu8(_mm_set1_epi8(lo), x), zero));
-}
-
-__attribute__((target("sse2"), always_inline)) inline void HtmlBlockSse2(
-    const char* p, uint64_t* l, uint64_t* a, uint64_t* g, uint64_t* q) {
-  const __m128i vlt = _mm_set1_epi8('<');
-  const __m128i vamp = _mm_set1_epi8('&');
-  const __m128i vgt = _mm_set1_epi8('>');
-  const __m128i vdq = _mm_set1_epi8('"');
-  const __m128i vsq = _mm_set1_epi8('\'');
-  uint64_t lw = 0, aw = 0, gw = 0, qw = 0;
-  for (int k = 0; k < 4; ++k) {
-    const __m128i x =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16 * k));
-    lw |= Mask16(_mm_cmpeq_epi8(x, vlt)) << (16 * k);
-    aw |= Mask16(_mm_cmpeq_epi8(x, vamp)) << (16 * k);
-    gw |= Mask16(_mm_cmpeq_epi8(x, vgt)) << (16 * k);
-    qw |= Mask16(_mm_or_si128(_mm_cmpeq_epi8(x, vdq),
-                              _mm_cmpeq_epi8(x, vsq)))
-          << (16 * k);
-  }
-  *l = lw;
-  *a = aw;
-  *g = gw;
-  *q = qw;
-}
-
-__attribute__((target("sse2"))) void BuildHtmlSse2(const char* s, size_t n,
-                                                   uint64_t* lt,
-                                                   uint64_t* amp,
-                                                   uint64_t* gt,
-                                                   uint64_t* quote) {
-  const size_t full = n / 64;
-  for (size_t w = 0; w < full; ++w) {
-    HtmlBlockSse2(s + w * 64, &lt[w], &amp[w], &gt[w], &quote[w]);
-  }
-  if (n % 64 != 0) {
-    char buf[64] = {};
-    std::memcpy(buf, s + full * 64, n % 64);
-    HtmlBlockSse2(buf, &lt[full], &amp[full], &gt[full], &quote[full]);
-  }
-}
-
-__attribute__((target("sse2"), always_inline)) inline void
-PhoneBlockSse2(const char* p, uint64_t* carry, uint64_t* out) {
-  const __m128i vparen = _mm_set1_epi8('(');
-  const __m128i vplus = _mm_set1_epi8('+');
-  uint64_t digits = 0, starts = 0;
-  for (int k = 0; k < 4; ++k) {
-    const __m128i x =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16 * k));
-    digits |= Mask16(InRange16(x, '0', '9')) << (16 * k);
-    starts |= Mask16(_mm_or_si128(_mm_cmpeq_epi8(x, vparen),
-                                  _mm_cmpeq_epi8(x, vplus)))
-              << (16 * k);
-  }
-  *out = (digits & ~((digits << 1) | *carry)) | starts;
-  *carry = digits >> 63;
-}
-
-__attribute__((target("sse2"))) void BuildPhoneCandidatesSse2(
-    const char* s, size_t n, uint64_t* bits) {
-  const size_t full = n / 64;
-  uint64_t carry = 0;
-  for (size_t w = 0; w < full; ++w) {
-    PhoneBlockSse2(s + w * 64, &carry, &bits[w]);
-  }
-  if (n % 64 != 0) {
-    char buf[64] = {};
-    std::memcpy(buf, s + full * 64, n % 64);
-    PhoneBlockSse2(buf, &carry, &bits[full]);
-  }
-}
-
-__attribute__((target("sse2"), always_inline)) inline void
-IsbnBlockSse2(const char* p, uint64_t* carry, uint64_t* out) {
-  const __m128i vdash = _mm_set1_epi8('-');
-  const __m128i vxu = _mm_set1_epi8('X');
-  const __m128i vxl = _mm_set1_epi8('x');
-  uint64_t digits = 0, body = 0;
-  for (int k = 0; k < 4; ++k) {
-    const __m128i x =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16 * k));
-    const __m128i d = InRange16(x, '0', '9');
-    const __m128i b = _mm_or_si128(
-        _mm_or_si128(d, _mm_cmpeq_epi8(x, vdash)),
-        _mm_or_si128(_mm_cmpeq_epi8(x, vxu), _mm_cmpeq_epi8(x, vxl)));
-    digits |= Mask16(d) << (16 * k);
-    body |= Mask16(b) << (16 * k);
-  }
-  *out = digits & ~((body << 1) | *carry);
-  *carry = body >> 63;
-}
-
-__attribute__((target("sse2"))) void BuildIsbnCandidatesSse2(
-    const char* s, size_t n, uint64_t* bits) {
-  const size_t full = n / 64;
-  uint64_t carry = 0;
-  for (size_t w = 0; w < full; ++w) {
-    IsbnBlockSse2(s + w * 64, &carry, &bits[w]);
-  }
-  if (n % 64 != 0) {
-    char buf[64] = {};
-    std::memcpy(buf, s + full * 64, n % 64);
-    IsbnBlockSse2(buf, &carry, &bits[full]);
-  }
-}
-
-__attribute__((target("sse2"), always_inline)) inline uint64_t
-WordCharBlockSse2(const char* p) {
-  const __m128i vapos = _mm_set1_epi8('\'');
-  uint64_t b = 0;
-  for (int k = 0; k < 4; ++k) {
-    const __m128i x =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16 * k));
-    const __m128i word_char = _mm_or_si128(
-        _mm_or_si128(InRange16(x, '0', '9'), InRange16(x, 'a', 'z')),
-        _mm_or_si128(InRange16(x, 'A', 'Z'), _mm_cmpeq_epi8(x, vapos)));
-    b |= Mask16(word_char) << (16 * k);
-  }
-  return b;
-}
-
-__attribute__((target("sse2"))) void BuildWordCharsSse2(const char* s,
-                                                        size_t n,
-                                                        uint64_t* bits) {
-  const size_t full = n / 64;
-  for (size_t w = 0; w < full; ++w) {
-    bits[w] = WordCharBlockSse2(s + w * 64);
-  }
-  if (n % 64 != 0) {
-    char buf[64] = {};
-    std::memcpy(buf, s + full * 64, n % 64);
-    bits[full] = WordCharBlockSse2(buf);
-  }
-}
-
-__attribute__((target("sse2"))) size_t FindTagEndSse2(const char* s,
-                                                      size_t n,
-                                                      size_t from) {
-  const __m128i vdq = _mm_set1_epi8('"');
-  const __m128i vsq = _mm_set1_epi8('\'');
-  const __m128i vgt = _mm_set1_epi8('>');
-  char quote = 0;
-  for (size_t base = from; base < n; base += 16) {
-    uint32_t m;
-    if (n - base >= 16) {
-      const __m128i x =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(s + base));
-      m = static_cast<uint32_t>(_mm_movemask_epi8(
-          _mm_or_si128(_mm_or_si128(_mm_cmpeq_epi8(x, vdq),
-                                    _mm_cmpeq_epi8(x, vsq)),
-                       _mm_cmpeq_epi8(x, vgt))));
-    } else {
-      char buf[16] = {};
-      std::memcpy(buf, s + base, n - base);
-      const __m128i x =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(buf));
-      m = static_cast<uint32_t>(_mm_movemask_epi8(
-          _mm_or_si128(_mm_or_si128(_mm_cmpeq_epi8(x, vdq),
-                                    _mm_cmpeq_epi8(x, vsq)),
-                       _mm_cmpeq_epi8(x, vgt))));
-    }
-    while (m != 0) {
-      const size_t i = base + static_cast<size_t>(std::countr_zero(m));
-      m &= m - 1;
-      const char c = s[i];
-      if (quote != 0) {
-        if (c == quote) quote = 0;
-      } else if (c == '>') {
-        return i;
-      } else {
-        quote = c;
-      }
-    }
-  }
-  return npos;
-}
-
-__attribute__((target("sse2"))) size_t FindCiSse2(const char* s, size_t n,
-                                                  size_t from,
-                                                  const char* needle,
-                                                  size_t needle_len) {
-  if (needle_len == 0 || n < needle_len) return npos;
-  const size_t limit = n - needle_len;
-  const char lo = ToLowerChar(needle[0]);
-  const char up = lo >= 'a' && lo <= 'z' ? static_cast<char>(lo - 32) : lo;
-  const __m128i vlo = _mm_set1_epi8(lo);
-  const __m128i vup = _mm_set1_epi8(up);
-  for (size_t base = from; base <= limit; base += 16) {
-    uint32_t m;
-    if (n - base >= 16) {
-      const __m128i x =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(s + base));
-      m = static_cast<uint32_t>(_mm_movemask_epi8(_mm_or_si128(
-          _mm_cmpeq_epi8(x, vlo), _mm_cmpeq_epi8(x, vup))));
-    } else {
-      char buf[16] = {};
-      std::memcpy(buf, s + base, n - base);
-      const __m128i x =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(buf));
-      m = static_cast<uint32_t>(_mm_movemask_epi8(_mm_or_si128(
-          _mm_cmpeq_epi8(x, vlo), _mm_cmpeq_epi8(x, vup))));
-    }
-    while (m != 0) {
-      const size_t i = base + static_cast<size_t>(std::countr_zero(m));
-      m &= m - 1;
-      if (i > limit) return npos;
-      bool match = true;
-      for (size_t j = 1; j < needle_len; ++j) {
-        if (ToLowerChar(s[i + j]) != ToLowerChar(needle[j])) {
-          match = false;
-          break;
-        }
-      }
-      if (match) return i;
-    }
-  }
-  return npos;
-}
-
-// --------------------------------------------------------------------
-// AVX2 tier: identical structure at 32 bytes per load, two per block.
 // --------------------------------------------------------------------
 
 __attribute__((target("avx2"), always_inline)) inline uint64_t Mask32(
@@ -776,21 +409,7 @@ constexpr ScanOps kScalarOps = {
     FindTagEndScalar,       FindCiScalar,
 };
 
-// The SWAR tier keeps the scalar find_tag_end/find_ci: both walk short,
-// stateful spans where SWAR offers nothing over the plain loop.
-constexpr ScanOps kSwarOps = {
-    BuildHtmlSwar,        BuildPhoneCandidatesSwar,
-    BuildIsbnCandidatesSwar, BuildWordCharsSwar,
-    FindTagEndScalar,     FindCiScalar,
-};
-
 #if WSD_SIMD_X86
-constexpr ScanOps kSse2Ops = {
-    BuildHtmlSse2,        BuildPhoneCandidatesSse2,
-    BuildIsbnCandidatesSse2, BuildWordCharsSse2,
-    FindTagEndSse2,       FindCiSse2,
-};
-
 constexpr ScanOps kAvx2Ops = {
     BuildHtmlAvx2,        BuildPhoneCandidatesAvx2,
     BuildIsbnCandidatesAvx2, BuildWordCharsAvx2,
@@ -799,22 +418,10 @@ constexpr ScanOps kAvx2Ops = {
 #endif
 
 const ScanOps* TierTable(Tier tier) {
-  switch (tier) {
-    case Tier::kScalar:
-      return &kScalarOps;
-    case Tier::kSwar:
-      return &kSwarOps;
 #if WSD_SIMD_X86
-    case Tier::kSse2:
-      return &kSse2Ops;
-    case Tier::kAvx2:
-      return &kAvx2Ops;
-#else
-    case Tier::kSse2:
-    case Tier::kAvx2:
-      return &kSwarOps;  // unreachable via dispatch; defensive
+  if (tier == Tier::kAvx2) return &kAvx2Ops;
 #endif
-  }
+  (void)tier;
   return &kScalarOps;
 }
 
@@ -822,18 +429,11 @@ std::atomic<int> g_tier{-1};
 std::atomic<const ScanOps*> g_ops{&kScalarOps};
 OnceFlag g_init_once;
 
-// Env-flag convention shared with WSD_LEGACY_SCAN (core/study.cc): set
-// and not "0" means on.
+// Set and not "0" means on.
 bool EnvFlagSet(const char* name) {
   const char* v = std::getenv(name);
   return v != nullptr && v[0] != '\0' &&
          !(v[0] == '0' && v[1] == '\0');
-}
-
-Tier DetectBestTier() {
-  if (CpuHasAvx2()) return Tier::kAvx2;
-  if (CpuHasSse2()) return Tier::kSse2;
-  return Tier::kSwar;
 }
 
 void SetTier(Tier tier) {
@@ -846,45 +446,18 @@ void SetTier(Tier tier) {
 
 void InitDispatch() {
   const bool force_scalar = EnvFlagSet("WSD_FORCE_SCALAR");
-  const bool force_swar = EnvFlagSet("WSD_FORCE_SWAR");
-  const bool force_sse2 = EnvFlagSet("WSD_FORCE_SSE2");
   const Tier chosen =
-      ChooseTier(DetectBestTier(), force_scalar, force_swar, force_sse2);
+      !force_scalar && CpuHasAvx2() ? Tier::kAvx2 : Tier::kScalar;
   SetTier(chosen);
   WSD_LOG(kInfo) << "simd dispatch: tier=" << TierName(chosen)
-                 << " (cpu: " << CpuFeatureSummary() << ")"
-                 << (force_scalar || force_swar || force_sse2
-                         ? " [forced via WSD_FORCE_*]"
-                         : "");
+                 << " (cpu avx2: " << (CpuHasAvx2() ? "yes" : "no") << ")"
+                 << (force_scalar ? " [forced via WSD_FORCE_SCALAR]" : "");
 }
 
 }  // namespace
 
 const char* TierName(Tier tier) {
-  switch (tier) {
-    case Tier::kScalar:
-      return "scalar";
-    case Tier::kSwar:
-      return "swar";
-    case Tier::kSse2:
-      return "sse2";
-    case Tier::kAvx2:
-      return "avx2";
-  }
-  return "unknown";
-}
-
-Tier ChooseTier(Tier best, bool force_scalar, bool force_swar,
-                bool force_sse2) {
-  if (force_scalar) return Tier::kScalar;
-  if (force_swar) return Tier::kSwar;
-  if (force_sse2) {
-    // Never force instructions the CPU lacks; fall to the portable tier.
-    return static_cast<int>(best) >= static_cast<int>(Tier::kSse2)
-               ? Tier::kSse2
-               : Tier::kSwar;
-  }
-  return best;
+  return tier == Tier::kAvx2 ? "avx2" : "scalar";
 }
 
 Tier ActiveTier() {
@@ -895,8 +468,7 @@ Tier ActiveTier() {
 }
 
 std::vector<Tier> AvailableTiers() {
-  std::vector<Tier> tiers = {Tier::kScalar, Tier::kSwar};
-  if (CpuHasSse2()) tiers.push_back(Tier::kSse2);
+  std::vector<Tier> tiers = {Tier::kScalar};
   if (CpuHasAvx2()) tiers.push_back(Tier::kAvx2);
   return tiers;
 }

@@ -10,50 +10,37 @@
 namespace wsd {
 namespace simd {
 
-/// Dispatch tiers for the vectorized scan kernels, ordered by
-/// preference. Selection happens once at startup from CPUID (util/cpu.h)
-/// plus the WSD_FORCE_* env overrides, and is published as the
-/// `wsd.scan.simd_tier` gauge.
+/// Dispatch tiers for the vectorized scan kernels. Selection happens
+/// once at startup from CPUID (util/cpu.h) plus the WSD_FORCE_SCALAR env
+/// override, and is published as the `wsd.scan.simd_tier` gauge (the
+/// numeric values are part of that gauge's contract).
 ///
 ///  - kScalar: the PR 3 scalar kernel paths, byte for byte — the
-///    dispatch floor and the ablation baseline. Never auto-selected;
-///    reached only via WSD_FORCE_SCALAR (or a test override).
-///  - kSwar:   the bitmap-index kernels with portable SWAR
-///    (SIMD-within-a-register, plain uint64 arithmetic) classifiers.
-///    The best tier on non-x86 hardware.
-///  - kSse2:   128-bit classifiers; baseline on x86-64.
-///  - kAvx2:   256-bit classifiers.
+///    ablation baseline, and the path on CPUs without AVX2 or with
+///    WSD_FORCE_SCALAR set (non-"0").
+///  - kAvx2:   the bitmap-index kernels with 256-bit classifiers;
+///    selected whenever the CPU supports AVX2 and no force is set.
 ///
-/// Every tier produces bit-identical output (enforced by simd_test, the
+/// Both tiers produce bit-identical output (enforced by simd_test, the
 /// kernel equivalence tests, and the differential fuzzers); only the
 /// bytes/sec differ.
 enum class Tier : int {
   kScalar = 0,
-  kSwar = 1,
-  kSse2 = 2,
   kAvx2 = 3,
 };
 
-/// Short lower-case name for logs/benches: "scalar", "swar", "sse2",
-/// "avx2".
+/// Short lower-case name for logs/benches: "scalar" or "avx2".
 const char* TierName(Tier tier);
 
-/// The tier selected at startup (detection + env overrides). The first
+/// The tier selected at startup (detection + env override). The first
 /// call initializes dispatch, logs one line, and sets the
 /// `wsd.scan.simd_tier` gauge; later calls are one relaxed atomic load.
 Tier ActiveTier();
 
-/// Every tier this machine can execute, in ascending order. kScalar and
-/// kSwar are always runnable; kSse2/kAvx2 appear when the CPU supports
-/// them. Tests iterate this to prove per-tier equivalence.
+/// Every tier this machine can execute, in ascending order: kScalar,
+/// plus kAvx2 when the CPU supports it. Tests iterate this to prove
+/// per-tier equivalence.
 std::vector<Tier> AvailableTiers();
-
-/// Pure tier-selection policy, split out for unit testing: `best` is the
-/// strongest tier the CPU supports, the flags mirror WSD_FORCE_SCALAR /
-/// WSD_FORCE_SWAR / WSD_FORCE_SSE2 (first match wins; a forced tier is
-/// clamped to `best` so a force never selects unsupported instructions).
-Tier ChooseTier(Tier best, bool force_scalar, bool force_swar,
-                bool force_sse2);
 
 /// Temporarily repoints dispatch at `tier` (which must be in
 /// AvailableTiers()), for tests and the bench ablation. Restores the

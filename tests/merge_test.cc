@@ -52,7 +52,6 @@ SnapshotMeta MetaFor(const StudyOptions& options, Domain domain,
   meta.num_entities = options.num_entities;
   meta.seed = options.seed;
   meta.scale_bits = CanonicalScaleBits(options.scale);
-  meta.legacy_scan = options.legacy_scan;
   return meta;
 }
 
@@ -96,7 +95,7 @@ std::vector<ParsedSnapshot> ScanShards(const StudyOptions& options,
 std::string MergedBytes(std::vector<ParsedSnapshot> shards) {
   auto merged = MergeSnapshots(std::move(shards));
   EXPECT_TRUE(merged.ok()) << merged.status();
-  auto bytes = SerializeSnapshotAligned(merged->result, *merged->meta);
+  auto bytes = SerializeSnapshotAligned(merged->result, merged->meta);
   EXPECT_TRUE(bytes.ok()) << bytes.status();
   return *bytes;
 }
@@ -154,8 +153,8 @@ TEST(MergeTest, MergeCountsMetrics) {
   EXPECT_EQ(CounterValue("wsd.store.merge_hosts"),
             hosts0 + merged->result.table.num_hosts());
   // Merged provenance is a whole-corpus snapshot.
-  EXPECT_EQ(merged->meta->shard_index, 0u);
-  EXPECT_EQ(merged->meta->shard_count, 1u);
+  EXPECT_EQ(merged->meta.shard_index, 0u);
+  EXPECT_EQ(merged->meta.shard_count, 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -205,16 +204,9 @@ TEST(MergeTest, RejectsEmptyInput) {
   EXPECT_TRUE(MergeSnapshots({}).status().IsInvalidArgument());
 }
 
-TEST(MergeTest, RejectsSnapshotWithoutProvenance) {
-  auto shards = HandBuiltShards();
-  shards[1].meta.reset();  // a v1 snapshot has no meta
-  EXPECT_TRUE(
-      MergeSnapshots(std::move(shards)).status().IsInvalidArgument());
-}
-
 TEST(MergeTest, RejectsProvenanceMismatch) {
   auto shards = HandBuiltShards();
-  shards[1].meta->seed = 2;  // same shard layout, different scan inputs
+  shards[1].meta.seed = 2;  // same shard layout, different scan inputs
   auto status = MergeSnapshots(std::move(shards)).status();
   EXPECT_TRUE(status.IsInvalidArgument()) << status;
 }
@@ -284,7 +276,7 @@ TEST(MergeFilesTest, MergesFilesAndFailsWithoutPartialOutput) {
   for (size_t i = 0; i < shards.size(); ++i) {
     paths.push_back(dir + "/shard" + std::to_string(i) + ".wsdsnap");
     ASSERT_TRUE(WriteSnapshotFileAligned(paths.back(), shards[i].result,
-                                         *shards[i].meta)
+                                         shards[i].meta)
                     .ok());
   }
 
@@ -293,7 +285,7 @@ TEST(MergeFilesTest, MergesFilesAndFailsWithoutPartialOutput) {
   auto loaded = LoadSnapshotFile(out);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(MergedBytes(std::move(shards)),
-            *SerializeSnapshotAligned(loaded->result, *loaded->meta));
+            *SerializeSnapshotAligned(loaded->result, loaded->meta));
 
   // Incomplete input set: no output file may appear (or survive).
   const std::string bad_out = dir + "/bad.wsdsnap";

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "core/coverage.h"
 #include "core/set_cover.h"
 #include "core/study.h"
+#include "extract/attribute_registry.h"
 #include "serve/endpoints.h"
 #include "serve/http.h"
 #include "serve/http_client.h"
@@ -284,6 +286,33 @@ TEST_F(RoutingTest, BadParametersAre400) {
       Handle("GET /spread?domain=books&attr=isbn&scale=-1 HTTP/1.1").status,
       400);
   EXPECT_EQ(Handle("GET /demand?site=msn HTTP/1.1").status, 400);
+}
+
+// /spread answers 400 for every (domain, attr) pair the registry marks
+// inapplicable and 200 for every other pair: no request reaches a scan
+// that cannot run.
+TEST_F(RoutingTest, EveryDomainAttrPairIs200Or400) {
+  const std::pair<const char*, Domain> kDomains[] = {
+      {"books", Domain::kBooks},
+      {"restaurants", Domain::kRestaurants},
+      {"automotive", Domain::kAutomotive},
+      {"banks", Domain::kBanks},
+      {"libraries", Domain::kLibraries},
+      {"schools", Domain::kSchools},
+      {"hotels", Domain::kHotels},
+      {"retail", Domain::kRetail},
+      {"home", Domain::kHomeGarden},
+  };
+  for (const auto& [name, domain] : kDomains) {
+    for (const AttributeSpec& spec : AllAttributeSpecs()) {
+      const std::string target = std::string("/spread?domain=") + name +
+                                 "&attr=" + std::string(spec.name) +
+                                 "&scale=0.05";
+      EXPECT_EQ(Handle("GET " + target + " HTTP/1.1").status,
+                AttributeApplicableTo(spec, domain) ? 200 : 400)
+          << target;
+    }
+  }
 }
 
 TEST_F(RoutingTest, ContentNegotiation) {

@@ -1,8 +1,8 @@
 // Tests for the scan-artifact store: snapshot round trips (including
 // TSV-loaded, empty and zero-page tables), fail-closed parsing of
-// malformed bytes, ArtifactStore hit/miss/fallback semantics, and the
-// scan-once acceptance check (one live scan per (domain, attr) however
-// many analyses consume it).
+// malformed bytes and nonzero reserved words, ArtifactStore
+// hit/miss/fallback semantics, and the scan-once acceptance check (one
+// live scan per (domain, attr) however many analyses consume it).
 
 #include "store/artifact_store.h"
 #include "store/snapshot.h"
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/study.h"
+#include "util/hash.h"
 #include "util/metrics.h"
 
 namespace wsd {
@@ -99,28 +100,29 @@ void ExpectSameResult(const ScanResult& a, const ScanResult& b) {
   }
 }
 
-TEST(SnapshotTest, RoundTripIsBitIdentical) {
-  const ScanResult original = MakeResult();
-  auto bytes = SerializeSnapshot(original);
-  ASSERT_TRUE(bytes.ok()) << bytes.status();
-  auto parsed = ParseSnapshot(*bytes);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  ExpectSameResult(original, *parsed);
-  // Deterministic encoder: re-serializing the parsed result reproduces
-  // the same bytes.
-  auto bytes2 = SerializeSnapshot(*parsed);
-  ASSERT_TRUE(bytes2.ok());
-  EXPECT_EQ(*bytes, *bytes2);
+// ---------------------------------------------------------------------
+// Snapshot codec.
+
+SnapshotMeta MakeMeta() {
+  SnapshotMeta meta;
+  meta.domain = Domain::kBanks;
+  meta.attr = Attribute::kPhone;
+  meta.num_entities = 300;
+  meta.seed = 3;
+  meta.scale_bits = CanonicalScaleBits(0.05);
+  meta.shard_index = 0;
+  meta.shard_count = 1;
+  return meta;
 }
 
 TEST(SnapshotTest, EmptyTableRoundTrips) {
   ScanResult empty;
-  auto bytes = SerializeSnapshot(empty);
+  auto bytes = SerializeSnapshotAligned(empty, MakeMeta());
   ASSERT_TRUE(bytes.ok()) << bytes.status();
-  auto parsed = ParseSnapshot(*bytes);
+  auto parsed = ParseSnapshotFull(*bytes);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(parsed->table.num_hosts(), 0u);
-  EXPECT_EQ(parsed->stats.pages_scanned, 0u);
+  EXPECT_EQ(parsed->result.table.num_hosts(), 0u);
+  EXPECT_EQ(parsed->result.stats.pages_scanned, 0u);
 }
 
 TEST(SnapshotTest, TsvLoadedTableRoundTrips) {
@@ -136,11 +138,11 @@ TEST(SnapshotTest, TsvLoadedTableRoundTrips) {
   // a fresh result and require a bit-identical snapshot round trip.
   ScanResult reloaded;
   reloaded.table = std::move(loaded).value();
-  auto bytes = SerializeSnapshot(reloaded);
+  auto bytes = SerializeSnapshotAligned(reloaded, MakeMeta());
   ASSERT_TRUE(bytes.ok()) << bytes.status();
-  auto parsed = ParseSnapshot(*bytes);
+  auto parsed = ParseSnapshotFull(*bytes);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  ExpectSameResult(reloaded, *parsed);
+  ExpectSameResult(reloaded, parsed->result);
 }
 
 TEST(SnapshotTest, FileRoundTripIsAtomicAndIdentical) {
@@ -148,72 +150,75 @@ TEST(SnapshotTest, FileRoundTripIsAtomicAndIdentical) {
   ASSERT_TRUE(fs::create_directories(dir));
   const std::string path = dir + "/snap.wsdsnap";
   const ScanResult original = MakeResult();
-  ASSERT_TRUE(WriteSnapshotFile(path, original).ok());
+  ASSERT_TRUE(WriteSnapshotFileAligned(path, original, MakeMeta()).ok());
   EXPECT_FALSE(fs::exists(path + ".tmp"));  // write-via-rename cleaned up
-  auto parsed = ReadSnapshotFile(path);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  ExpectSameResult(original, *parsed);
+  auto loaded = LoadSnapshotFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ExpectSameResult(original, loaded->result);
+  EXPECT_TRUE(loaded->meta == MakeMeta());
   fs::remove_all(dir);
 }
 
 TEST(SnapshotTest, SerializerRejectsContractViolations) {
   ScanResult bad = MakeResult();
   bad.table.mutable_hosts()[0].entities = {{7, 1}, {3, 1}};  // unsorted
-  EXPECT_TRUE(SerializeSnapshot(bad).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      SerializeSnapshotAligned(bad, MakeMeta()).status().IsInvalidArgument());
 
   ScanResult invalid_id = MakeResult();
   invalid_id.table.mutable_hosts()[0].entities = {{kInvalidEntityId, 1}};
-  EXPECT_TRUE(SerializeSnapshot(invalid_id).status().IsInvalidArgument());
-}
-
-TEST(SnapshotTest, EveryTruncationFailsClosed) {
-  auto bytes = SerializeSnapshot(MakeResult());
-  ASSERT_TRUE(bytes.ok());
-  for (size_t len = 0; len < bytes->size(); ++len) {
-    auto parsed = ParseSnapshot(std::string_view(bytes->data(), len));
-    EXPECT_FALSE(parsed.ok()) << "prefix of " << len << " bytes parsed";
-  }
-}
-
-TEST(SnapshotTest, EveryByteFlipFailsClosed) {
-  auto bytes = SerializeSnapshot(MakeResult());
-  ASSERT_TRUE(bytes.ok());
-  // Header fields are validated and every payload byte is covered by its
-  // section checksum, so no single corrupted byte may parse.
-  for (size_t i = 0; i < bytes->size(); ++i) {
-    std::string corrupt = *bytes;
-    corrupt[i] = static_cast<char>(corrupt[i] ^ 0xff);
-    auto parsed = ParseSnapshot(corrupt);
-    EXPECT_FALSE(parsed.ok()) << "flip at byte " << i << " parsed";
-  }
+  EXPECT_TRUE(SerializeSnapshotAligned(invalid_id, MakeMeta())
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(SnapshotTest, RejectsVersionSkewWithClearStatus) {
-  auto bytes = SerializeSnapshot(MakeResult());
+  auto bytes = SerializeSnapshotAligned(MakeResult(), MakeMeta());
   ASSERT_TRUE(bytes.ok());
-  std::string bumped = *bytes;
-  bumped[8] = 9;  // version u32: neither v1 (compact) nor v2 (aligned)
-  auto parsed = ParseSnapshot(bumped);
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_TRUE(parsed.status().IsCorruption());
-  EXPECT_NE(parsed.status().message().find("version"), std::string::npos)
-      << parsed.status().ToString();
+  // 9 is no version at all; 1 is the retired compact (varint) encoding.
+  for (const char version : {9, 1}) {
+    std::string bumped = *bytes;
+    bumped[8] = version;  // low byte of the version u32
+    auto parsed = ParseSnapshotFull(bumped);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_TRUE(parsed.status().IsCorruption());
+    EXPECT_NE(parsed.status().message().find("version"), std::string::npos)
+        << parsed.status().ToString();
+  }
 }
 
-// ---------------------------------------------------------------------
-// Aligned (v2) snapshots.
+TEST(SnapshotTest, RejectsForeignAndTrailingBytes) {
+  EXPECT_TRUE(ParseSnapshotFull("").status().IsCorruption());
+  EXPECT_TRUE(ParseSnapshotFull("WSDCACHE1\nnot a snapshot at all")
+                  .status()
+                  .IsCorruption());
+  auto bytes = SerializeSnapshotAligned(MakeResult(), MakeMeta());
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_TRUE(ParseSnapshotFull(*bytes + "x").status().IsCorruption());
+}
 
-SnapshotMeta MakeMeta() {
-  SnapshotMeta meta;
-  meta.domain = Domain::kBanks;
-  meta.attr = Attribute::kPhone;
-  meta.num_entities = 300;
-  meta.seed = 3;
-  meta.scale_bits = CanonicalScaleBits(0.05);
-  meta.legacy_scan = false;
-  meta.shard_index = 0;
-  meta.shard_count = 1;
-  return meta;
+// The meta word at payload offset 12 is reserved and must be zero. The
+// checksum is recomputed after the patch, so only the reserved-word check
+// can reject the file.
+TEST(SnapshotTest, RejectsNonzeroReservedMetaWord) {
+  auto bytes = SerializeSnapshotAligned(MakeResult(), MakeMeta());
+  ASSERT_TRUE(bytes.ok());
+  // File header (16 bytes), stats section (24-byte header + 56-byte
+  // payload), then the meta section's header and payload.
+  const size_t meta_header = 16 + 24 + 56;
+  const size_t meta_payload = meta_header + 24;
+  std::string patched = *bytes;
+  patched[meta_payload + 12] = 1;
+  const uint64_t checksum =
+      XxHash64(std::string_view(patched).substr(meta_payload, 48));
+  for (int i = 0; i < 8; ++i) {
+    patched[meta_header + 16 + i] = static_cast<char>(checksum >> (8 * i));
+  }
+  auto parsed = ParseSnapshotFull(patched);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_TRUE(parsed.status().IsCorruption()) << parsed.status();
+  EXPECT_NE(parsed.status().message().find("reserved"), std::string::npos)
+      << parsed.status().ToString();
 }
 
 TEST(SnapshotAlignedTest, RoundTripIsBitIdenticalAndCarriesMeta) {
@@ -224,22 +229,11 @@ TEST(SnapshotAlignedTest, RoundTripIsBitIdenticalAndCarriesMeta) {
   auto parsed = ParseSnapshotFull(*bytes);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   ExpectSameResult(original, parsed->result);
-  ASSERT_TRUE(parsed->meta.has_value());
-  EXPECT_TRUE(*parsed->meta == meta);
+  EXPECT_TRUE(parsed->meta == meta);
   // Canonical encoding: re-serializing reproduces the same bytes.
-  auto bytes2 = SerializeSnapshotAligned(parsed->result, *parsed->meta);
+  auto bytes2 = SerializeSnapshotAligned(parsed->result, parsed->meta);
   ASSERT_TRUE(bytes2.ok());
   EXPECT_EQ(*bytes, *bytes2);
-}
-
-TEST(SnapshotAlignedTest, CompactParserAlsoReadsAligned) {
-  // ParseSnapshot dispatches on the version word, so v2 bytes decode via
-  // the plain entry point too (meta is simply dropped).
-  auto bytes = SerializeSnapshotAligned(MakeResult(), MakeMeta());
-  ASSERT_TRUE(bytes.ok());
-  auto parsed = ParseSnapshot(*bytes);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  ExpectSameResult(MakeResult(), *parsed);
 }
 
 TEST(SnapshotAlignedTest, EveryTruncationFailsClosed) {
@@ -274,26 +268,16 @@ TEST(SnapshotAlignedTest, MmapLoadMatchesBufferedParseAndCounts) {
   ASSERT_TRUE(WriteSnapshotFileAligned(path, original, meta).ok());
 
   const uint64_t mmaps0 = CounterValue("wsd.store.mmap_loads");
-  const uint64_t falls0 = CounterValue("wsd.store.mmap_fallbacks");
   auto loaded = LoadSnapshotFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(CounterValue("wsd.store.mmap_loads"), mmaps0 + 1);
-  EXPECT_EQ(CounterValue("wsd.store.mmap_fallbacks"), falls0);
   ExpectSameResult(original, loaded->result);
-  ASSERT_TRUE(loaded->meta.has_value());
-  EXPECT_TRUE(*loaded->meta == meta);
+  EXPECT_TRUE(loaded->meta == meta);
 
-  // A compact (v1) file takes the buffered fallback, not an error.
-  const std::string v1_path = dir + "/snap_v1.wsdsnap";
-  ASSERT_TRUE(WriteSnapshotFile(v1_path, original).ok());
-  auto v1_loaded = LoadSnapshotFile(v1_path);
-  ASSERT_TRUE(v1_loaded.ok()) << v1_loaded.status();
-  EXPECT_EQ(CounterValue("wsd.store.mmap_fallbacks"), falls0 + 1);
-  ExpectSameResult(original, v1_loaded->result);
-  EXPECT_FALSE(v1_loaded->meta.has_value());
+  // A missing file is an I/O error, not a crash.
+  EXPECT_TRUE(LoadSnapshotFile(dir + "/missing.wsdsnap").status().IsIOError());
 
-  // A truncated v2 file is an error on the mmap path — never a crash,
-  // never a silent fallback (the bytes would be just as corrupt there).
+  // A truncated file is an error on the mmap path — never a crash.
   auto bytes = SerializeSnapshotAligned(original, meta);
   ASSERT_TRUE(bytes.ok());
   const std::string cut_path = dir + "/cut.wsdsnap";
@@ -346,20 +330,17 @@ TEST(SnapshotV3Test, MicrodataSnapshotRoundTripsEverywhere) {
   auto parsed = ParseSnapshotFull(*bytes);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   ExpectSameResult(original, parsed->result);
-  ASSERT_TRUE(parsed->meta.has_value());
-  EXPECT_TRUE(*parsed->meta == meta);
+  EXPECT_TRUE(parsed->meta == meta);
 
-  // The mmap path accepts v3 without a buffered fallback.
+  // The mmap path accepts v3.
   const std::string dir = FreshDir("v3_mmap");
   ASSERT_TRUE(fs::create_directories(dir));
   const std::string path = dir + "/snap.wsdsnap";
   ASSERT_TRUE(WriteSnapshotFileAligned(path, original, meta).ok());
   const uint64_t mmaps0 = CounterValue("wsd.store.mmap_loads");
-  const uint64_t falls0 = CounterValue("wsd.store.mmap_fallbacks");
   auto loaded = LoadSnapshotFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(CounterValue("wsd.store.mmap_loads"), mmaps0 + 1);
-  EXPECT_EQ(CounterValue("wsd.store.mmap_fallbacks"), falls0);
   ExpectSameResult(original, loaded->result);
   fs::remove_all(dir);
 }
@@ -391,7 +372,6 @@ TEST(SnapshotV3Test, UnknownFutureVersionIsRejected) {
   const uint32_t v4 = 4;
   std::memcpy(future.data() + sizeof(kSnapshotMagic), &v4, 4);
   EXPECT_TRUE(ParseSnapshotFull(future).status().IsCorruption());
-  EXPECT_TRUE(ParseSnapshot(future).status().IsCorruption());
 }
 
 TEST(SnapshotV3Test, EveryTruncationAndByteFlipFailsClosed) {
@@ -422,16 +402,6 @@ TEST(SnapshotAlignedTest, CanonicalScaleBitsCollapsesAliases) {
   EXPECT_NE(CanonicalScaleBits(1.0), CanonicalScaleBits(2.0));
 }
 
-TEST(SnapshotTest, RejectsForeignAndTrailingBytes) {
-  EXPECT_TRUE(ParseSnapshot("").status().IsCorruption());
-  EXPECT_TRUE(ParseSnapshot("WSDCACHE1\nnot a snapshot at all")
-                  .status()
-                  .IsCorruption());
-  auto bytes = SerializeSnapshot(MakeResult());
-  ASSERT_TRUE(bytes.ok());
-  EXPECT_TRUE(ParseSnapshot(*bytes + "x").status().IsCorruption());
-}
-
 TEST(ArtifactKeyTest, FilenameTracksEveryField) {
   ArtifactKey key;
   key.domain = Domain::kRestaurants;
@@ -451,9 +421,6 @@ TEST(ArtifactKeyTest, FilenameTracksEveryField) {
   EXPECT_NE(other.Filename(), base);
   other = key;
   other.num_entities = 2001;
-  EXPECT_NE(other.Filename(), base);
-  other = key;
-  other.legacy_scan = true;
   EXPECT_NE(other.Filename(), base);
   other = key;
   other.attr = Attribute::kHomepage;

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "extract/attribute_registry.h"
+
 namespace wsd {
 namespace {
 
@@ -165,15 +169,28 @@ TEST_F(StudySmall, MicrodataDoesNotApplyToBooks) {
   EXPECT_TRUE(scan.status().IsInvalidArgument()) << scan.status();
 }
 
-TEST(StudyLegacyTest, LegacyScanRefusesMicrodata) {
+// Every (domain, attribute) pair either scans or is refused as
+// InvalidArgument, never an abort, and the refusals are exactly the pairs
+// the registry marks inapplicable (e.g. ISBNs outside books, phones in
+// books).
+TEST(StudyApplicabilityTest, EveryDomainAttrPairScansOrIsInvalidArgument) {
   StudyOptions options = SmallOptions();
-  options.legacy_scan = true;
+  options.num_entities = 300;
+  options.scale = 0.05;
   Study study(options);
-  auto scan = study.Scan(Domain::kRestaurants, Attribute::kMicrodata);
-  EXPECT_TRUE(scan.status().IsInvalidArgument()) << scan.status();
-  // Legacy attributes still work through the frozen oracle.
-  auto phone = study.Scan(Domain::kRestaurants, Attribute::kPhone);
-  EXPECT_TRUE(phone.ok()) << phone.status();
+  for (const Domain d : AllDomains()) {
+    for (const AttributeSpec& spec : AllAttributeSpecs()) {
+      SCOPED_TRACE(std::string(DomainName(d)) + " x " +
+                   std::string(spec.name));
+      auto scan = study.Scan(d, spec.attr);
+      if (!AttributeApplicableTo(spec, d)) {
+        EXPECT_TRUE(scan.status().IsInvalidArgument()) << scan.status();
+        continue;
+      }
+      ASSERT_TRUE(scan.ok()) << scan.status();
+      EXPECT_TRUE(study.RunSpread(*scan).ok());
+    }
+  }
 }
 
 TEST_F(StudySmall, ValueStudyAnchors) {

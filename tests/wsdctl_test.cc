@@ -154,17 +154,18 @@ TEST(WsdctlTest, ScanWritesLoadableSnapshot) {
                    "--scale 0.05 --seed 3 --out=" +
                    snap + " --table-out=" + tsv),
             0);
-  auto parsed = ReadSnapshotFile(snap);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_GT(parsed->table.num_hosts(), 0u);
-  EXPECT_GT(parsed->stats.pages_scanned, 0u);
+  auto loaded = LoadSnapshotFile(snap);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  const ScanResult& parsed = loaded->result;
+  EXPECT_GT(parsed.table.num_hosts(), 0u);
+  EXPECT_GT(parsed.stats.pages_scanned, 0u);
   // The snapshot's table matches the TSV the same run wrote.
   auto table = HostEntityTable::ReadTsv(tsv);
   ASSERT_TRUE(table.ok()) << table.status();
-  ASSERT_EQ(parsed->table.num_hosts(), table->num_hosts());
+  ASSERT_EQ(parsed.table.num_hosts(), table->num_hosts());
   for (size_t i = 0; i < table->num_hosts(); ++i) {
-    EXPECT_EQ(parsed->table.host(i).host, table->host(i).host);
-    EXPECT_EQ(parsed->table.host(i).entities.size(),
+    EXPECT_EQ(parsed.table.host(i).host, table->host(i).host);
+    EXPECT_EQ(parsed.table.host(i).entities.size(),
               table->host(i).entities.size());
   }
   std::remove(snap.c_str());
@@ -319,6 +320,31 @@ TEST(WsdctlTest, ArtifactsFlagCachesAcrossRuns) {
   fs::remove_all(dir);
   std::remove(cold_json.c_str());
   std::remove(warm_json.c_str());
+}
+
+TEST(WsdctlTest, PaperCreatesMissingNestedOutdir) {
+  SKIP_WITHOUT_CLI();
+  const std::string root =
+      (fs::temp_directory_path() / "wsdctl_paper_mkdir").string();
+  fs::remove_all(root);
+  const std::string outdir = root + "/nested/out";
+  ASSERT_EQ(RunCli("paper --entities 400 --scale 0.05 --seed 42 --outdir " +
+                   outdir),
+            0);
+  EXPECT_TRUE(fs::exists(outdir + "/table2_graphs.tsv"));
+
+  // A directory cannot be created under a regular file: exit 1, and the
+  // error names the path.
+  const std::string blocker = root + "/file";
+  std::ofstream(blocker) << "x";
+  const std::string bad = blocker + "/out";
+  const std::string log = root + "/stderr.txt";
+  const std::string command = CliPath() +
+                              " paper --entities 400 --scale 0.05 --outdir " +
+                              bad + " > " + log + " 2>&1";
+  EXPECT_EQ(WEXITSTATUS(std::system(command.c_str())), 1);
+  EXPECT_NE(ReadFile(log).find(bad), std::string::npos) << ReadFile(log);
+  fs::remove_all(root);
 }
 
 // Byte-identity pin for `wsdctl paper`: at this small fixed config the

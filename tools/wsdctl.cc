@@ -46,6 +46,7 @@
 #include "corpus/web_cache.h"
 #include "graph/diameter.h"
 #include "util/csv.h"
+#include "util/io_util.h"
 #include "util/metrics.h"
 #include "util/string_util.h"
 
@@ -575,7 +576,6 @@ int CmdScan(const Args& args) {
     key.num_entities = options.num_entities;
     key.seed = options.seed;
     key.scale = options.scale;
-    key.legacy_scan = options.legacy_scan;
     SnapshotMeta meta = key.Meta();
     meta.shard_index = shard.index;
     meta.shard_count = shard.count;
@@ -641,7 +641,7 @@ int CmdMerge(const Args& args) {
             << " mentions\n";
   if (out) {
     const Status status =
-        WriteSnapshotFileAligned(*out, merged->result, *merged->meta);
+        WriteSnapshotFileAligned(*out, merged->result, merged->meta);
     if (!status.ok()) {
       std::cerr << status << "\n";
       return 1;
@@ -650,7 +650,7 @@ int CmdMerge(const Args& args) {
   }
   if (artifacts) {
     const ArtifactStore store{*artifacts};
-    const ArtifactKey key = ArtifactKey::FromMeta(*merged->meta);
+    const ArtifactKey key = ArtifactKey::FromMeta(merged->meta);
     const Status status = store.Store(key, merged->result);
     if (!status.ok()) {
       std::cerr << status << "\n";
@@ -670,10 +670,14 @@ int CmdMerge(const Args& args) {
 }
 
 // Runs every experiment and writes one TSV per figure/table into
-// --outdir (created by the caller). The single-command "reproduce the
-// paper" entry point.
+// --outdir, creating it (and any missing parents) first. The
+// single-command "reproduce the paper" entry point.
 int CmdPaper(const Args& args) {
   const std::string outdir = args.GetOr("outdir", "paper_out");
+  if (const Status made = EnsureDirectory(outdir); !made.ok()) {
+    std::cerr << made << "\n";
+    return 1;
+  }
   const StudyOptions options = OptionsFrom(args);
   Study study(options);
 
