@@ -1,5 +1,6 @@
 // Ablation bench: exact diameter via iFUB vs. the all-pairs BFS
-// reference (serial and batch-parallel at growing thread counts),
+// reference (inline and on a pool at growing thread counts, 64 sources
+// per multi-source BFS chunk),
 // union-find component analysis throughput, and the incremental
 // reverse-deletion robustness sweep vs. the per-k rebuild reference, on
 // entity-site graphs of growing size.
@@ -43,9 +44,9 @@ const BipartiteGraph& GraphOfSize(int64_t entities) {
 
 // Sparse low-degree bipartite graph (every entity on exactly two random
 // sites). Expander-like: eccentricities are nearly uniform, so iFUB has
-// to sweep wide fringe levels with many BFS runs — the workload the
-// batch-parallel eccentricity loop targets. Hub-dominated graphs (above)
-// converge in a handful of runs and leave little to parallelize.
+// to sweep wide fringe levels with many eccentricities — the workload the
+// 64-lane chunks and their pool rounds target. Hub-dominated graphs
+// (above) converge in a handful of runs and leave little to parallelize.
 const BipartiteGraph& SparseGraphOfSize(int64_t entities) {
   static std::map<int64_t, std::unique_ptr<BipartiteGraph>>* cache =
       new std::map<int64_t, std::unique_ptr<BipartiteGraph>>;
@@ -106,7 +107,9 @@ void BM_DiameterIFUB(benchmark::State& state) {
 }
 BENCHMARK(BM_DiameterIFUB)->Arg(1000)->Arg(4000)->Arg(16000);
 
-// Batch-parallel iFUB: range(0) = entities, range(1) = threads.
+// iFUB with its eccentricity chunks on a pool: range(0) = entities,
+// range(1) = threads. Wall time: the main thread mostly blocks in
+// pool.Wait(), so its CPU time would hide the work.
 void BM_DiameterIFUBParallel(benchmark::State& state) {
   const BipartiteGraph& graph = GraphOfSize(state.range(0));
   ThreadPool& pool = PoolOf(state.range(1));
@@ -120,7 +123,8 @@ void BM_DiameterIFUBParallel(benchmark::State& state) {
   state.counters["threads"] = static_cast<double>(state.range(1));
 }
 BENCHMARK(BM_DiameterIFUBParallel)
-    ->ArgsProduct({{16000}, {1, 2, 4, 8}});
+    ->ArgsProduct({{16000}, {1, 2, 4, 8}})
+    ->UseRealTime();
 
 // Same, on the sparse expander-like graph where the eccentricity loop
 // dominates.
@@ -138,7 +142,8 @@ void BM_DiameterIFUBParallelSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_DiameterIFUBParallelSparse)
     ->ArgsProduct({{16000}, {1, 2, 4, 8}})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_DiameterAllPairs(benchmark::State& state) {
   const BipartiteGraph& graph = GraphOfSize(state.range(0));
@@ -162,7 +167,8 @@ void BM_Components(benchmark::State& state) {
 }
 BENCHMARK(BM_Components)->Arg(4000)->Arg(16000);
 
-// Sharded union-find: range(0) = entities, range(1) = threads.
+// Sharded union-find: range(0) = entities, range(1) = threads. Wall
+// time, as for the pooled diameter benches.
 void BM_ComponentsParallel(benchmark::State& state) {
   const BipartiteGraph& graph = GraphOfSize(state.range(0));
   ThreadPool& pool = PoolOf(state.range(1));
@@ -172,7 +178,9 @@ void BM_ComponentsParallel(benchmark::State& state) {
   state.counters["edges"] = static_cast<double>(graph.num_edges());
   state.counters["threads"] = static_cast<double>(state.range(1));
 }
-BENCHMARK(BM_ComponentsParallel)->ArgsProduct({{16000}, {1, 2, 4, 8}});
+BENCHMARK(BM_ComponentsParallel)
+    ->ArgsProduct({{16000}, {1, 2, 4, 8}})
+    ->UseRealTime();
 
 // The Fig 9 sweep at its default config (k = 0..10): incremental
 // reverse-deletion (one O(E·α) pass) ...

@@ -5,6 +5,7 @@
 
 #include "extract/attribute_registry.h"
 #include "util/logging.h"
+#include "util/metrics.h"
 #include "util/string_util.h"
 
 namespace wsd {
@@ -201,6 +202,8 @@ StatusOr<std::vector<RobustnessPoint>> Study::RunRobustness(
 }
 
 StatusOr<Study::ValueStudyResult> Study::RunValueStudy(TrafficSite site) {
+  const ScopedTimer phase_timer(
+      MetricsRegistry::Global().GetHistogram("wsd.core.value_study_seconds"));
   TrafficSiteParams params = DefaultTrafficParams(site);
   params.num_entities = std::max<uint32_t>(
       256, static_cast<uint32_t>(static_cast<double>(params.num_entities) *

@@ -1,6 +1,7 @@
 #include "graph/diameter.h"
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "util/logging.h"
@@ -16,6 +17,16 @@ constexpr uint32_t kUnvisited = UINT32_MAX;
 struct BfsScratch {
   std::vector<uint32_t> dist;
   std::vector<uint32_t> queue;
+};
+
+// Multi-source BFS workspace: bit `lane` of a node's word belongs to
+// source `lane` of the current chunk.
+struct LaneScratch {
+  std::vector<uint64_t> seen;   // lanes that have reached the node
+  std::vector<uint64_t> visit;  // lanes with the node in this frontier
+  std::vector<uint64_t> next;   // lanes reaching the node next level
+  std::vector<uint32_t> frontier;
+  std::vector<uint32_t> next_frontier;
 };
 
 template <typename Fn>
@@ -71,22 +82,53 @@ uint32_t PickStart(const BipartiteGraph& g, const ComponentLabels& labels) {
   return best;
 }
 
-// Eccentricities of a whole fringe batch, one BFS per pool task with a
-// per-slot scratch (each slot is owned by exactly one task per batch, so
-// workers reuse warm buffers without sharing them).
-void BatchEccentricities(const BipartiteGraph& graph, ThreadPool& pool,
-                         const uint32_t* nodes, size_t width,
-                         std::vector<BfsScratch>& scratch,
-                         std::vector<uint32_t>& ecc_out) {
-  static Counter& batches =
-      MetricsRegistry::Global().GetCounter("wsd.graph.bfs_batches");
-  for (size_t t = 0; t < width; ++t) {
-    pool.Submit([&graph, &scratch, &ecc_out, nodes, t] {
-      ecc_out[t] = Bfs(graph, nodes[t], scratch[t]).first;
-    });
+// Eccentricities of up to kEccentricityLanes sources in one
+// multi-source BFS: every frontier node is expanded once per level for
+// all lanes that hold it. Only the frontier lists are walked, so a level
+// costs O(edges of its frontier), never a scan of V. `ecc[lane]` is the
+// last level at which that lane reached a new node.
+void LaneEccentricities(const BipartiteGraph& g,
+                        std::span<const uint32_t> sources, uint32_t* ecc) {
+  WSD_CHECK(sources.size() <= kEccentricityLanes);
+  // thread_local so pool workers keep warm buffers across chunks.
+  // `visit` and `next` are all-zero between calls: every bit set below
+  // is cleared before returning.
+  static thread_local LaneScratch s;
+  s.seen.assign(g.num_nodes(), 0);
+  s.visit.resize(g.num_nodes());
+  s.next.resize(g.num_nodes());
+  s.frontier.clear();
+  for (size_t lane = 0; lane < sources.size(); ++lane) {
+    const uint32_t src = sources[lane];
+    if (s.visit[src] == 0) s.frontier.push_back(src);
+    s.visit[src] |= uint64_t{1} << lane;
+    s.seen[src] |= uint64_t{1} << lane;
+    ecc[lane] = 0;
   }
-  pool.Wait();
-  batches.Increment();
+  for (uint32_t level = 1; !s.frontier.empty(); ++level) {
+    s.next_frontier.clear();
+    for (uint32_t u : s.frontier) {
+      const uint64_t lanes = s.visit[u];
+      ForEachNeighbor(g, u, [&](uint32_t v) {
+        const uint64_t fresh = lanes & ~s.seen[v];
+        if (fresh == 0) return;
+        if (s.next[v] == 0) s.next_frontier.push_back(v);
+        s.next[v] |= fresh;
+      });
+    }
+    for (uint32_t u : s.frontier) s.visit[u] = 0;
+    uint64_t reached = 0;
+    for (uint32_t v : s.next_frontier) {
+      s.seen[v] |= s.next[v];
+      s.visit[v] = s.next[v];
+      reached |= s.next[v];
+      s.next[v] = 0;
+    }
+    for (; reached != 0; reached &= reached - 1) {
+      ecc[std::countr_zero(reached)] = level;
+    }
+    s.frontier.swap(s.next_frontier);
+  }
 }
 
 }  // namespace
@@ -96,6 +138,34 @@ uint32_t Eccentricity(const BipartiteGraph& graph, uint32_t node) {
   // buffers instead of reallocating two vectors per call.
   static thread_local BfsScratch scratch;
   return Bfs(graph, node, scratch).first;
+}
+
+std::vector<uint32_t> Eccentricities(const BipartiteGraph& graph,
+                                     std::span<const uint32_t> sources,
+                                     ThreadPool* pool) {
+  static Counter& chunks =
+      MetricsRegistry::Global().GetCounter("wsd.graph.bfs_batches");
+  std::vector<uint32_t> ecc(sources.size());
+  const size_t num_chunks =
+      (sources.size() + kEccentricityLanes - 1) / kEccentricityLanes;
+  // Each chunk writes only its own slice of `ecc`.
+  const auto run_chunk = [&graph, sources, &ecc](size_t c) {
+    const size_t lo = c * kEccentricityLanes;
+    LaneEccentricities(
+        graph,
+        sources.subspan(lo, std::min(kEccentricityLanes, sources.size() - lo)),
+        ecc.data() + lo);
+  };
+  if (pool == nullptr) {
+    for (size_t c = 0; c < num_chunks; ++c) run_chunk(c);
+  } else {
+    for (size_t c = 0; c < num_chunks; ++c) {
+      pool->Submit([&run_chunk, c] { run_chunk(c); });
+    }
+    pool->Wait();
+  }
+  chunks.Increment(num_chunks);
+  return ecc;
 }
 
 namespace {
@@ -170,26 +240,23 @@ DiameterResult ExactDiameterImpl(const BipartiteGraph& graph,
     });
   }
 
-  // Eccentricity loop: with a pool, each fringe level is dispatched in
-  // batches of one BFS per worker. Batches walk the level in the same
-  // order as the serial loop and `lower` is folded as a max, so the
-  // returned diameter is identical at any thread count (eccentricities
-  // never exceed `upper`, hence a full batch can only reach the same
-  // lower == upper fixpoint the serial early exit does). Only bfs_runs
-  // may differ: a batch is not cut short mid-way.
-  const size_t batch_width =
-      pool != nullptr && pool->num_threads() > 1 ? pool->num_threads() : 1;
-  std::vector<BfsScratch> batch_scratch(batch_width);
-  std::vector<uint32_t> batch_ecc(batch_width);
-  if (batch_width > 1) {
+  // Eccentricity loop: each fringe level is evaluated in rounds of one
+  // kEccentricityLanes-source chunk per worker. Rounds walk the level in
+  // order and `lower` is folded as a max, so the returned diameter is
+  // identical at any thread count (eccentricities never exceed `upper`,
+  // hence a full round can only reach the same lower == upper fixpoint a
+  // one-at-a-time loop exits on). Only bfs_runs may differ: a round is
+  // not cut short mid-way.
+  const size_t workers = pool != nullptr ? pool->num_threads() : 1;
+  if (pool != nullptr) {
     MetricsRegistry::Global()
         .GetGauge("wsd.graph.threads")
-        .Set(static_cast<double>(batch_width));
+        .Set(static_cast<double>(workers));
   }
   for (uint32_t i = depth; i >= 1 && lower < upper; --i) {
     // Process all of level i; only lower == upper is a safe early exit
     // inside the level (other level-i nodes may reach ecc up to 2*i).
-    const std::vector<uint32_t>& level = levels[i];
+    const std::span<const uint32_t> level = levels[i];
     for (size_t pos = 0; pos < level.size() && lower < upper;) {
       if (result.bfs_runs >= max_bfs) {
         result.diameter = lower;
@@ -197,18 +264,13 @@ DiameterResult ExactDiameterImpl(const BipartiteGraph& graph,
         return result;
       }
       const size_t width =
-          std::min({batch_width, level.size() - pos,
+          std::min({kEccentricityLanes * workers, level.size() - pos,
                     static_cast<size_t>(max_bfs - result.bfs_runs)});
-      if (width == 1) {
-        batch_ecc[0] = Bfs(graph, level[pos], batch_scratch[0]).first;
-      } else {
-        BatchEccentricities(graph, *pool, level.data() + pos, width,
-                            batch_scratch, batch_ecc);
+      for (uint32_t ecc :
+           Eccentricities(graph, level.subspan(pos, width), pool)) {
+        lower = std::max(lower, ecc);
       }
       result.bfs_runs += static_cast<uint32_t>(width);
-      for (size_t t = 0; t < width; ++t) {
-        lower = std::max(lower, batch_ecc[t]);
-      }
       pos += width;
     }
     // iFUB invariant: every node at level < i has eccentricity

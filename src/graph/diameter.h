@@ -1,7 +1,10 @@
 #ifndef WSD_GRAPH_DIAMETER_H_
 #define WSD_GRAPH_DIAMETER_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "graph/bipartite.h"
 #include "graph/components.h"
@@ -30,12 +33,13 @@ struct DiameterResult {
 /// approach the paper sidesteps the same way ("can be computed more
 /// efficiently when the diameter of the graph is small", §5.2).
 ///
-/// With a `pool` of two or more workers the eccentricity loop dispatches
-/// each fringe level in batches of one BFS per worker (per-slot scratch
-/// reuse, no shared state). The reported diameter, exactness and
-/// component size are identical to the serial path at any thread count;
-/// only `bfs_runs` may exceed the serial figure by at most one batch
-/// when the bounds meet mid-level.
+/// The eccentricity loop evaluates each fringe level with the bit-parallel
+/// multi-source BFS below, in rounds of one 64-source chunk per pool
+/// worker (a single inline chunk without a pool). The reported diameter,
+/// exactness and component size are identical at any thread count; only
+/// `bfs_runs` (eccentricities evaluated) may exceed the count of a
+/// one-at-a-time loop, by less than one round — 64 × workers — per
+/// fringe level, when the bounds meet mid-round.
 DiameterResult ExactDiameter(const BipartiteGraph& graph,
                              uint32_t max_bfs = 20000,
                              ThreadPool* pool = nullptr);
@@ -45,7 +49,21 @@ DiameterResult ExactDiameter(const BipartiteGraph& graph,
 DiameterResult AllPairsDiameter(const BipartiteGraph& graph);
 
 /// Eccentricity of `node` within its component (max BFS distance).
+/// Scalar BFS; the oracle for `Eccentricities`.
 uint32_t Eccentricity(const BipartiteGraph& graph, uint32_t node);
+
+/// Sources evaluated per multi-source BFS pass (one bit of a uint64_t).
+inline constexpr size_t kEccentricityLanes = 64;
+
+/// Eccentricities of `sources` (in order, duplicates and sources in
+/// different components allowed), evaluated by a bit-parallel
+/// multi-source BFS (Then et al., "The More the Merrier", VLDB 2014):
+/// each chunk of up to `kEccentricityLanes` sources shares one adjacency
+/// scan per frontier node and level. Chunks run as one pool task each,
+/// or inline without a pool. Equal to `Eccentricity` per source.
+std::vector<uint32_t> Eccentricities(const BipartiteGraph& graph,
+                                     std::span<const uint32_t> sources,
+                                     ThreadPool* pool = nullptr);
 
 }  // namespace wsd
 

@@ -5,6 +5,7 @@
 #include "graph/diameter.h"
 #include "graph/robustness.h"
 #include "graph/union_find.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -296,8 +297,8 @@ TEST(ComponentsTest, ParallelMatchesSerial) {
   }
 }
 
-// Batch-parallel iFUB must report the same diameter, exactness and
-// component size as the serial path at every thread count.
+// iFUB on a pool must report the same diameter, exactness and
+// component size as without a pool, at every thread count.
 TEST(DiameterTest, ParallelMatchesSerial) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     const auto graph = RandomGraph(seed);
@@ -310,6 +311,124 @@ TEST(DiameterTest, ParallelMatchesSerial) {
       EXPECT_EQ(parallel.exact, serial.exact);
       EXPECT_EQ(parallel.component_nodes, serial.component_nodes);
     }
+  }
+}
+
+// Ring of 2 * m groups of k nodes, alternating entity and site groups,
+// with every site linked to all entities of both neighbouring groups.
+// Vertex-transitive: from any node, BFS level j < m holds the groups at
+// ring distance j (2k nodes; 3k - 1 at level 2, which adds the node's
+// own group) and level m the antipodal group (k nodes). Every
+// eccentricity is m.
+BipartiteGraph RingOfGroups(uint32_t m, uint32_t k) {
+  std::vector<std::vector<EntityId>> table(m * k);
+  for (uint32_t g = 0; g < m; ++g) {
+    for (uint32_t site = 0; site < k; ++site) {
+      for (uint32_t e = 0; e < k; ++e) {
+        table[g * k + site].push_back(g * k + e);
+        table[g * k + site].push_back(((g + 1) % m) * k + e);
+      }
+    }
+  }
+  for (auto& v : table) std::sort(v.begin(), v.end());
+  return BipartiteGraph::FromHostTable(MakeTable(table), m * k);
+}
+
+// The multi-source kernel must equal scalar Eccentricity() per source,
+// inline and on pools.
+void ExpectEccentricitiesMatchOracle(const BipartiteGraph& graph,
+                                     const std::vector<uint32_t>& sources) {
+  std::vector<uint32_t> expected;
+  for (uint32_t s : sources) expected.push_back(Eccentricity(graph, s));
+  EXPECT_EQ(Eccentricities(graph, sources), expected);
+  for (size_t threads : {1, 3}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(Eccentricities(graph, sources, &pool), expected)
+        << "threads " << threads;
+  }
+}
+
+// Every node of random (often disconnected) graphs, as one call over all
+// nodes and as windows of 1, 63, 64 and 65 sources that cover every
+// node at each width.
+TEST(EccentricitiesTest, MatchesScalarOnEveryNode) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    const auto graph = RandomGraph(seed);
+    const uint32_t n = graph.num_nodes();
+    std::vector<uint32_t> all(n);
+    for (uint32_t v = 0; v < n; ++v) all[v] = v;
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ExpectEccentricitiesMatchOracle(graph, all);
+    for (uint32_t width : {1u, 63u, 64u, 65u}) {
+      SCOPED_TRACE("width " + std::to_string(width));
+      for (uint32_t lo = 0; lo < n; lo += width) {
+        std::vector<uint32_t> window(width);
+        for (uint32_t i = 0; i < width; ++i) window[i] = (lo + i) % n;
+        ExpectEccentricitiesMatchOracle(graph, window);
+      }
+    }
+  }
+}
+
+// One chunk mixing sources from a 161-node path (eccentricities up to
+// 160 levels, far past the 64 lanes), a 140-node cycle (eccentricity
+// 70), a star and an isolated entity, plus a repeated source.
+TEST(EccentricitiesTest, MixesComponentsAndDeepLevels) {
+  std::vector<std::vector<EntityId>> table;
+  // Path: entities 0..80 joined by sites 0..79.
+  for (EntityId e = 0; e < 80; ++e) table.push_back({e, e + 1});
+  // Cycle: entities 81..150 joined by 70 sites.
+  const EntityId c0 = 81;
+  for (EntityId e = c0; e < c0 + 69; ++e) table.push_back({e, e + 1});
+  table.push_back({c0, c0 + 69});
+  // Star; entities 151..199 and 204 stay isolated.
+  table.push_back({200, 201, 202, 203});
+  const auto graph = BipartiteGraph::FromHostTable(MakeTable(table), 205);
+  EXPECT_EQ(Eccentricity(graph, 0), 160u);
+  EXPECT_EQ(Eccentricity(graph, c0), 70u);
+
+  const auto labels = LabelComponents(graph);
+  std::vector<uint32_t> sources;
+  for (uint32_t v = 0; v < graph.num_nodes(); v += 7) sources.push_back(v);
+  sources.push_back(sources.front());
+  std::set<uint32_t> first_chunk_labels;
+  for (size_t i = 0; i < std::min(sources.size(), kEccentricityLanes); ++i) {
+    first_chunk_labels.insert(labels.label[sources[i]]);
+  }
+  ASSERT_GE(first_chunk_labels.size(), 4u);  // 3 components + unlabeled
+  ExpectEccentricitiesMatchOracle(graph, sources);
+
+  EXPECT_EQ(ExactDiameter(graph).diameter, 160u);
+  EXPECT_EQ(AllPairsDiameter(graph).diameter, 160u);
+}
+
+// iFUB on a graph whose evaluated fringe levels hold more than 64 and
+// more than 256 nodes, so a level splits into several chunks and, at 1,
+// 2 and 4 workers, several rounds. On RingOfGroups(3, 100) the double
+// sweep gives lower = 3 and the root gives upper = 6; iFUB evaluates
+// level 3 (100 nodes, 2 chunks), lowers upper to 4, then evaluates level
+// 2 (299 nodes, 5 chunks) and stops: lower >= 2 * (2 - 1). No round can
+// end early (lower never reaches upper), so every thread count
+// evaluates the same 399 eccentricities.
+TEST(DiameterTest, WideLevelsMatchAllPairsAtEveryThreadCount) {
+  Counter& chunks =
+      MetricsRegistry::Global().GetCounter("wsd.graph.bfs_batches");
+  const auto graph = RingOfGroups(3, 100);
+  const auto slow = AllPairsDiameter(graph);
+  EXPECT_EQ(slow.diameter, 3u);
+  const uint64_t chunks_before = chunks.value();
+  const auto serial = ExactDiameter(graph);
+  EXPECT_EQ(chunks.value() - chunks_before, 2u + 5u);
+  EXPECT_EQ(serial.bfs_runs, 4u + 100u + 299u);
+  EXPECT_EQ(serial.diameter, slow.diameter);
+  EXPECT_TRUE(serial.exact);
+  for (size_t threads : {1, 2, 4, 8}) {
+    ThreadPool pool(threads);
+    const auto parallel = ExactDiameter(graph, 20000, &pool);
+    EXPECT_EQ(parallel.diameter, slow.diameter) << "threads " << threads;
+    EXPECT_EQ(parallel.bfs_runs, serial.bfs_runs) << "threads " << threads;
+    EXPECT_TRUE(parallel.exact);
+    EXPECT_EQ(parallel.component_nodes, slow.component_nodes);
   }
 }
 

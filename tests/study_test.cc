@@ -9,6 +9,7 @@
 #include <string>
 
 #include "extract/attribute_registry.h"
+#include "util/metrics.h"
 
 namespace wsd {
 namespace {
@@ -249,6 +250,21 @@ TEST_F(StudySmall, ValueStudyDeterministic) {
   EXPECT_EQ(a->demand.events_consumed, b->demand.events_consumed);
   EXPECT_EQ(a->demand.search_demand, b->demand.search_demand);
   EXPECT_EQ(a->reviews, b->reviews);
+}
+
+// Each value study records exactly one wsd.core.value_study_seconds
+// observation, whatever the site.
+TEST(StudyMetricsTest, ValueStudyRecordsOneTimerObservationPerCall) {
+  StudyOptions options = SmallOptions();
+  options.scale = 0.02;
+  Study study(options);
+  const LatencyHistogram& timer = MetricsRegistry::Global().GetHistogram(
+      "wsd.core.value_study_seconds");
+  const uint64_t before = timer.count();
+  ASSERT_TRUE(study.RunValueStudy(TrafficSite::kYelp).ok());
+  EXPECT_EQ(timer.count(), before + 1);
+  ASSERT_TRUE(study.RunValueStudy(TrafficSite::kImdb).ok());
+  EXPECT_EQ(timer.count(), before + 2);
 }
 
 // Scale stability: the coverage shape barely moves between 1x and 2x
