@@ -139,4 +139,90 @@ void PrintValueAddBins(const std::string& title,
   table.Print(out);
 }
 
+std::string CoverageTsv(const CoverageCurve& curve) {
+  std::string out = "t";
+  for (size_t k = 1; k <= curve.k_coverage.size(); ++k) {
+    AppendFormat(&out, "\tk%zu", k);
+  }
+  out += '\n';
+  for (size_t i = 0; i < curve.t_values.size(); ++i) {
+    AppendFormat(&out, "%u", curve.t_values[i]);
+    for (const auto& series : curve.k_coverage) {
+      AppendFormat(&out, "\t%.6f", series[i]);
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+std::string PageCoverageTsv(const PageCoverageCurve& curve) {
+  std::string out = "t\tpage_fraction\n";
+  for (size_t i = 0; i < curve.t_values.size(); ++i) {
+    AppendFormat(&out, "%u\t%.6f\n", curve.t_values[i],
+                 curve.page_fraction[i]);
+  }
+  return out;
+}
+
+std::string SetCoverTsv(const SetCoverCurve& curve) {
+  std::string out = "t\tgreedy\tby_size\n";
+  for (size_t i = 0; i < curve.t_values.size(); ++i) {
+    AppendFormat(&out, "%u\t%.6f\t%.6f\n", curve.t_values[i],
+                 curve.greedy_coverage[i], curve.size_coverage[i]);
+  }
+  return out;
+}
+
+std::string DemandCurveTsv(const std::vector<DemandCurvePoint>& search,
+                           const std::vector<DemandCurvePoint>& browse) {
+  std::string out = "inventory_fraction\tsearch\tbrowse\n";
+  for (size_t i = 0; i < search.size(); ++i) {
+    AppendFormat(&out, "%.4f\t%.6f\t%.6f\n", search[i].inventory_fraction,
+                 search[i].demand_fraction, browse[i].demand_fraction);
+  }
+  return out;
+}
+
+std::string ValueBinsTsv(const std::vector<ReviewBinStat>& bins) {
+  std::string out =
+      "bin\tentities\tsearch_z\tbrowse_z\trel_va_search\trel_va_browse\n";
+  for (const ReviewBinStat& bin : bins) {
+    out += bin.label;
+    AppendFormat(&out, "\t%llu\t%.6f\t%.6f\t%.6f\t%.6f\n",
+                 static_cast<unsigned long long>(bin.num_entities),
+                 bin.mean_search_z, bin.mean_browse_z, bin.rel_va_search,
+                 bin.rel_va_browse);
+  }
+  return out;
+}
+
+std::string GraphMetricsTsv(std::span<const GraphMetricsRow> rows) {
+  std::string out =
+      "domain\tattr\tavg_sites_per_entity\tdiameter\tcomponents\t"
+      "largest_pct\n";
+  for (const GraphMetricsRow& row : rows) {
+    out += DomainName(row.domain);
+    out += '\t';
+    out += AttributeName(row.attr);
+    AppendFormat(&out, "\t%.2f\t%u\t%u\t%.4f\n", row.avg_sites_per_entity,
+                 row.diameter, row.num_components,
+                 row.largest_component_entity_pct);
+  }
+  return out;
+}
+
+std::string RobustnessTsv(std::span<const RobustnessSeries> series) {
+  std::string out = "domain\tattr\tremoved\tlargest_fraction\n";
+  for (const RobustnessSeries& graph : series) {
+    for (const RobustnessPoint& point : graph.points) {
+      out += DomainName(graph.domain);
+      out += '\t';
+      out += AttributeName(graph.attr);
+      AppendFormat(&out, "\t%u\t%.6f\n", point.removed_sites,
+                   point.largest_component_entity_fraction);
+    }
+  }
+  return out;
+}
+
 }  // namespace wsd

@@ -2,6 +2,7 @@
 #define WSD_CORE_REPORT_H_
 
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,43 @@ void PrintRobustness(const std::string& title,
 void PrintValueAddBins(const std::string& title,
                        const std::vector<ReviewBinStat>& bins,
                        std::ostream& out);
+
+// ---------------------------------------------------------------------
+// TSV renderers: the one definition of each figure/table file layout.
+// Each returns the whole body: a header line, then one line per row,
+// tab-separated and '\n'-terminated. `wsdctl --out`, `wsdctl paper` and
+// wsdd's `format=tsv` responses all write exactly these bytes. Fields
+// are fixed-vocabulary names and numbers, so none needs quoting.
+
+/// Figs 1-3 and 4(a): `t k1 .. kK`, one row per t.
+std::string CoverageTsv(const CoverageCurve& curve);
+
+/// Fig 4(b): `t page_fraction`.
+std::string PageCoverageTsv(const PageCoverageCurve& curve);
+
+/// Fig 5: `t greedy by_size`.
+std::string SetCoverTsv(const SetCoverCurve& curve);
+
+/// Fig 6: `inventory_fraction search browse`; the two curves share the
+/// inventory axis.
+std::string DemandCurveTsv(const std::vector<DemandCurvePoint>& search,
+                           const std::vector<DemandCurvePoint>& browse);
+
+/// Figs 7-8: demand and relative value-add per review-count bin.
+std::string ValueBinsTsv(const std::vector<ReviewBinStat>& bins);
+
+/// Table 2: one row per graph.
+std::string GraphMetricsTsv(std::span<const GraphMetricsRow> rows);
+
+/// One graph's Fig 9 sweep.
+struct RobustnessSeries {
+  Domain domain = Domain::kRestaurants;
+  Attribute attr = Attribute::kPhone;
+  std::vector<RobustnessPoint> points;
+};
+
+/// Fig 9: `domain attr removed largest_fraction`, every graph's points.
+std::string RobustnessTsv(std::span<const RobustnessSeries> series);
 
 }  // namespace wsd
 

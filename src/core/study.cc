@@ -1,7 +1,11 @@
 #include "core/study.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
+#include <type_traits>
 
 #include "extract/attribute_registry.h"
 #include "util/logging.h"
@@ -51,6 +55,38 @@ StudyOptions StudyOptions::FromEnv() {
     WSD_LOG(kWarning) << "WSD_SCALE must be positive; using 1.0";
     options.scale = 1.0;
   }
+  return options;
+}
+
+StatusOr<StudyOptions> StudyOptions::FromFlags(const FlagParser& flags) {
+  StudyOptions options = FromEnv();
+  // An integer flag must parse and fit the field it sets.
+  auto read_uint = [&](const char* name, auto* field) {
+    using Field = std::remove_pointer_t<decltype(field)>;
+    const uint64_t max = std::numeric_limits<Field>::max();
+    const auto raw = flags.Get(name);
+    if (!raw.has_value()) return Status::OK();
+    const auto parsed = ParseUint64(*raw);
+    if (!parsed.has_value() || *parsed > max) {
+      return Status::InvalidArgument(
+          StrFormat("--%s: expected an integer in [0, %llu], got '%s'", name,
+                    static_cast<unsigned long long>(max), raw->c_str()));
+    }
+    *field = static_cast<Field>(*parsed);
+    return Status::OK();
+  };
+  WSD_RETURN_IF_ERROR(read_uint("entities", &options.num_entities));
+  WSD_RETURN_IF_ERROR(read_uint("seed", &options.seed));
+  WSD_RETURN_IF_ERROR(read_uint("threads", &options.threads));
+  if (const auto raw = flags.Get("scale")) {
+    const auto parsed = ParseDouble(*raw);
+    if (!parsed.has_value() || !std::isfinite(*parsed) || *parsed <= 0) {
+      return Status::InvalidArgument(StrFormat(
+          "--scale: expected a positive number, got '%s'", raw->c_str()));
+    }
+    options.scale = *parsed;
+  }
+  if (auto dir = flags.Get("artifacts")) options.artifact_dir = *dir;
   return options;
 }
 

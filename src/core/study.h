@@ -20,6 +20,7 @@
 #include "store/artifact_store.h"
 #include "traffic/demand.h"
 #include "traffic/review_model.h"
+#include "util/flags.h"
 #include "util/statusor.h"
 #include "util/thread_pool.h"
 
@@ -41,8 +42,16 @@ struct StudyOptions {
   std::string artifact_dir;
 
   /// Reads WSD_SCALE / WSD_ENTITIES / WSD_SEED / WSD_THREADS /
-  /// WSD_ARTIFACT_DIR from the environment on top of the defaults.
+  /// WSD_ARTIFACT_DIR from the environment on top of the defaults. A
+  /// malformed variable is logged and ignored.
   static StudyOptions FromEnv();
+
+  /// FromEnv() overlaid with the `--entities --seed --scale --threads
+  /// --artifacts` flags shared by wsdctl and wsdd. A present but
+  /// malformed flag (not a number, out of range, scale not positive) is
+  /// InvalidArgument naming the flag, never a silent default.
+  [[nodiscard]] static StatusOr<StudyOptions> FromFlags(
+      const FlagParser& flags);
 
   /// num_entities with scale applied.
   uint32_t ScaledEntities() const;

@@ -1,63 +1,76 @@
 #include "entity/domains.h"
 
+#include <iterator>
+
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace wsd {
 
+namespace {
+
+// One row per Domain, in enumerator order: the display name used in
+// reports, the lowercase `--domain` / `?domain=` flag name, and the
+// generator's NameKind.
+struct DomainRow {
+  std::string_view name;
+  std::string_view flag;
+  NameKind kind;
+};
+
+constexpr DomainRow kDomainRows[] = {
+    {"Books", "books", NameKind::kBook},
+    {"Restaurants", "restaurants", NameKind::kRestaurant},
+    {"Automotive", "automotive", NameKind::kAutomotive},
+    {"Banks", "banks", NameKind::kBank},
+    {"Libraries", "libraries", NameKind::kLibrary},
+    {"Schools", "schools", NameKind::kSchool},
+    {"Hotels & Lodging", "hotels", NameKind::kHotel},
+    {"Retail & Shopping", "retail", NameKind::kRetail},
+    {"Home & Garden", "home", NameKind::kHomeGarden},
+};
+static_assert(std::size(kDomainRows) == kNumDomains);
+
+const DomainRow* RowFor(Domain d) {
+  const auto i = static_cast<size_t>(d);
+  return i < std::size(kDomainRows) ? &kDomainRows[i] : nullptr;
+}
+
+}  // namespace
+
 std::string_view DomainName(Domain d) {
-  switch (d) {
-    case Domain::kBooks:
-      return "Books";
-    case Domain::kRestaurants:
-      return "Restaurants";
-    case Domain::kAutomotive:
-      return "Automotive";
-    case Domain::kBanks:
-      return "Banks";
-    case Domain::kLibraries:
-      return "Libraries";
-    case Domain::kSchools:
-      return "Schools";
-    case Domain::kHotels:
-      return "Hotels & Lodging";
-    case Domain::kRetail:
-      return "Retail & Shopping";
-    case Domain::kHomeGarden:
-      return "Home & Garden";
-    case Domain::kNumDomains:
-      break;
+  const DomainRow* row = RowFor(d);
+  return row != nullptr ? row->name : "Unknown";
+}
+
+std::string_view DomainFlagName(Domain d) {
+  const DomainRow* row = RowFor(d);
+  return row != nullptr ? row->flag : "unknown";
+}
+
+std::optional<Domain> ParseDomain(std::string_view name) {
+  for (Domain d : AllDomains()) {
+    if (EqualsIgnoreCase(name, DomainFlagName(d))) return d;
   }
-  return "Unknown";
+  return std::nullopt;
+}
+
+std::string DomainVocabulary(std::string_view sep) {
+  std::string out;
+  for (Domain d : AllDomains()) {
+    if (!out.empty()) out += sep;
+    out += DomainFlagName(d);
+  }
+  return out;
 }
 
 // AttributeName is defined in extract/attribute_registry.cc: all name<->id
 // lookups route through the AttributeSpec table, never per-TU switches.
 
 NameKind NameKindFor(Domain d) {
-  switch (d) {
-    case Domain::kBooks:
-      return NameKind::kBook;
-    case Domain::kRestaurants:
-      return NameKind::kRestaurant;
-    case Domain::kAutomotive:
-      return NameKind::kAutomotive;
-    case Domain::kBanks:
-      return NameKind::kBank;
-    case Domain::kLibraries:
-      return NameKind::kLibrary;
-    case Domain::kSchools:
-      return NameKind::kSchool;
-    case Domain::kHotels:
-      return NameKind::kHotel;
-    case Domain::kRetail:
-      return NameKind::kRetail;
-    case Domain::kHomeGarden:
-      return NameKind::kHomeGarden;
-    case Domain::kNumDomains:
-      break;
-  }
-  WSD_LOG(kFatal) << "invalid domain";
-  return NameKind::kRestaurant;
+  const DomainRow* row = RowFor(d);
+  WSD_CHECK(row != nullptr) << "invalid domain";
+  return row->kind;
 }
 
 std::span<const Attribute> StudiedAttributes(Domain d) {

@@ -1,7 +1,9 @@
 #ifndef WSD_ENTITY_DOMAINS_H_
 #define WSD_ENTITY_DOMAINS_H_
 
+#include <optional>
 #include <span>
+#include <string>
 #include <string_view>
 
 #include "entity/name_gen.h"
@@ -40,7 +42,19 @@ enum class Attribute : int {
 
 constexpr int kNumDomains = static_cast<int>(Domain::kNumDomains);
 
+/// Display name for `d` ("Books", "Hotels & Lodging", ...).
 std::string_view DomainName(Domain d);
+
+/// Lowercase flag name for `d` ("books", "hotels", ...): the `--domain`
+/// vocabulary of wsdctl and the `?domain=` vocabulary of wsdd.
+std::string_view DomainFlagName(Domain d);
+
+/// Inverse of DomainFlagName, case-insensitive. nullopt when unknown.
+std::optional<Domain> ParseDomain(std::string_view name);
+
+/// Every flag name in Table 1 order, joined by `sep` (help and error
+/// text).
+std::string DomainVocabulary(std::string_view sep);
 
 /// Display name for `a` ("ISBN", "phone", ...). Defined by the attribute
 /// registry (extract/attribute_registry.cc); this is the display form, the

@@ -6,6 +6,7 @@
 
 #include "core/connectivity.h"
 #include "core/coverage.h"
+#include "core/report.h"
 #include "core/set_cover.h"
 #include "extract/attribute_registry.h"
 #include "traffic/demand.h"
@@ -51,53 +52,6 @@ EndpointMetrics& MetricsFor(std::string_view path) {
   return other;
 }
 
-// ---------------------------------------------------------------------
-// Parameter parsing (same vocabulary as the wsdctl flags).
-
-std::optional<Domain> ParseDomainName(std::string_view name) {
-  const std::string lower = ToLower(name);
-  if (lower == "books") return Domain::kBooks;
-  if (lower == "restaurants") return Domain::kRestaurants;
-  if (lower == "automotive") return Domain::kAutomotive;
-  if (lower == "banks") return Domain::kBanks;
-  if (lower == "libraries") return Domain::kLibraries;
-  if (lower == "schools") return Domain::kSchools;
-  if (lower == "hotels") return Domain::kHotels;
-  if (lower == "retail") return Domain::kRetail;
-  if (lower == "home") return Domain::kHomeGarden;
-  return std::nullopt;
-}
-
-std::optional<Attribute> ParseAttributeName(std::string_view name) {
-  // Registry-driven: every registered channel is automatically part of
-  // the serve vocabulary.
-  const AttributeSpec* spec = FindAttributeByName(ToLower(name));
-  if (spec == nullptr) return std::nullopt;
-  return spec->attr;
-}
-
-// "phone|homepage|isbn|reviews|microdata"-style vocabulary for error
-// messages, generated from the registry so it can never go stale.
-const std::string& AttributeVocabulary() {
-  static const std::string vocab = [] {
-    std::string out;
-    for (const AttributeSpec& spec : AllAttributeSpecs()) {
-      if (!out.empty()) out += '|';
-      out += spec.name;
-    }
-    return out;
-  }();
-  return vocab;
-}
-
-std::optional<TrafficSite> ParseSiteName(std::string_view name) {
-  const std::string lower = ToLower(name);
-  if (lower == "amazon") return TrafficSite::kAmazon;
-  if (lower == "yelp") return TrafficSite::kYelp;
-  if (lower == "imdb") return TrafficSite::kImdb;
-  return std::nullopt;
-}
-
 void Fail(HttpResponse* resp, int status, std::string_view message) {
   resp->status = status;
   resp->content_type = "application/json";
@@ -105,19 +59,17 @@ void Fail(HttpResponse* resp, int status, std::string_view message) {
                          static_cast<int>(message.size()), message.data());
 }
 
-// Pulls the shared (seed, scale) overrides out of the query; a malformed
-// value is a 400, not a silent default.
-bool ParseSeedScale(const HttpRequest& req, const StudyOptions& base,
-                    uint64_t* seed, double* scale, HttpResponse* resp) {
-  *seed = base.seed;
-  *scale = base.scale;
+// Applies the shared (seed, scale) overrides in the query to *options; a
+// malformed value is a 400, not a silent default.
+bool ParseSeedScale(const HttpRequest& req, StudyOptions* options,
+                    HttpResponse* resp) {
   if (auto v = req.QueryParam("seed")) {
     const auto parsed = ParseUint64(*v);
     if (!parsed.has_value()) {
       Fail(resp, 400, "invalid seed parameter");
       return false;
     }
-    *seed = *parsed;
+    options->seed = *parsed;
   }
   if (auto v = req.QueryParam("scale")) {
     const auto parsed = ParseDouble(*v);
@@ -125,35 +77,62 @@ bool ParseSeedScale(const HttpRequest& req, const StudyOptions& base,
       Fail(resp, 400, "invalid scale parameter (want 0 < scale <= 64)");
       return false;
     }
-    *scale = *parsed;
+    options->scale = *parsed;
   }
   return true;
 }
 
-bool ParseDomainAttr(const HttpRequest& req, Domain* domain, Attribute* attr,
-                     HttpResponse* resp) {
-  const auto d = ParseDomainName(req.QueryParam("domain").value_or(""));
-  const auto a = ParseAttributeName(req.QueryParam("attr").value_or(""));
-  if (!d.has_value()) {
+// The front half shared by /spread, /setcover and /graph: the domain,
+// attr, seed and scale parameters resolved to a cached scan.
+struct ScanQuery {
+  Domain domain = Domain::kBooks;
+  Attribute attr = Attribute::kIsbn;
+  std::shared_ptr<const ScanResult> scan;
+  uint32_t entities = 0;  // the scaled catalog size the scan ran against
+};
+
+// Fills *query, or the 400/503 error response and returns false.
+bool ResolveScan(ServeContext& ctx, const HttpRequest& req, ScanQuery* query,
+                 HttpResponse* resp) {
+  const auto domain = ParseDomain(req.QueryParam("domain").value_or(""));
+  const AttributeSpec* spec =
+      FindAttributeByName(req.QueryParam("attr").value_or(""));
+  if (!domain.has_value()) {
     Fail(resp, 400,
-         "missing or unknown domain parameter (books|restaurants|automotive|"
-         "banks|libraries|schools|hotels|retail|home)");
+         "missing or unknown domain parameter (" + DomainVocabulary("|") +
+             ")");
     return false;
   }
-  if (!a.has_value()) {
+  if (spec == nullptr) {
     Fail(resp, 400,
-         "missing or unknown attr parameter (" + AttributeVocabulary() + ")");
+         "missing or unknown attr parameter (" + AttributeVocabulary("|") +
+             ")");
     return false;
   }
-  if (!AttributeApplicableTo(GetAttributeSpec(*a), *d)) {
+  if (!AttributeApplicableTo(*spec, *domain)) {
     Fail(resp, 400,
-         std::string(AttributeName(*a)) + " does not apply to domain " +
-             std::string(DomainName(*d)));
+         std::string(AttributeName(spec->attr)) + " does not apply to domain " +
+             std::string(DomainName(*domain)));
     return false;
   }
-  *domain = *d;
-  *attr = *a;
+  StudyOptions options = ctx.base;
+  if (!ParseSeedScale(req, &options, resp)) return false;
+  auto scan =
+      ctx.cache->Get({*domain, spec->attr, options.seed, options.scale});
+  if (!scan.ok()) {
+    Fail(resp, 503, scan.status().message());
+    return false;
+  }
+  query->domain = *domain;
+  query->attr = spec->attr;
+  query->scan = std::move(scan).value();
+  query->entities = options.ScaledEntities();
   return true;
+}
+
+const char* ContentType(WireFormat format) {
+  return format == WireFormat::kTsv ? "text/tab-separated-values"
+                                    : "application/json";
 }
 
 // ---------------------------------------------------------------------
@@ -185,12 +164,6 @@ void AppendJsonString(std::string* out, std::string_view s) {
 
 void HandleSpread(ServeContext& ctx, const HttpRequest& req,
                   HttpResponse* resp) {
-  Domain domain;
-  Attribute attr;
-  uint64_t seed = 0;
-  double scale = 1.0;
-  if (!ParseDomainAttr(req, &domain, &attr, resp)) return;
-  if (!ParseSeedScale(req, ctx.base, &seed, &scale, resp)) return;
   uint32_t max_k = 10;
   if (auto v = req.QueryParam("k")) {
     const auto parsed = ParseUint64(*v);
@@ -200,104 +173,67 @@ void HandleSpread(ServeContext& ctx, const HttpRequest& req,
     }
     max_k = static_cast<uint32_t>(*parsed);
   }
-
-  auto scan = ctx.cache->Get({domain, attr, seed, scale});
-  if (!scan.ok()) {
-    Fail(resp, 503, scan.status().message());
-    return;
-  }
-  StudyOptions options = ctx.base;
-  options.seed = seed;
-  options.scale = scale;
+  ScanQuery query;
+  if (!ResolveScan(ctx, req, &query, resp)) return;
+  const HostEntityTable& table = query.scan->table;
   auto curve = ComputeKCoverage(
-      (*scan)->table, options.ScaledEntities(), max_k,
-      DefaultCoverageTValues(
-          static_cast<uint32_t>((*scan)->table.num_hosts())));
+      table, query.entities, max_k,
+      DefaultCoverageTValues(static_cast<uint32_t>(table.num_hosts())));
   if (!curve.ok()) {
     Fail(resp, 400, curve.status().message());
     return;
   }
   const WireFormat format = NegotiateFormat(req);
-  resp->content_type =
-      format == WireFormat::kTsv ? "text/tab-separated-values" : "application/json";
-  resp->body = SpreadBody(domain, attr, *curve, format);
+  resp->content_type = ContentType(format);
+  resp->body = SpreadBody(query.domain, query.attr, *curve, format);
 }
 
 void HandleSetCover(ServeContext& ctx, const HttpRequest& req,
                     HttpResponse* resp) {
-  Domain domain;
-  Attribute attr;
-  uint64_t seed = 0;
-  double scale = 1.0;
-  if (!ParseDomainAttr(req, &domain, &attr, resp)) return;
-  if (!ParseSeedScale(req, ctx.base, &seed, &scale, resp)) return;
-
-  auto scan = ctx.cache->Get({domain, attr, seed, scale});
-  if (!scan.ok()) {
-    Fail(resp, 503, scan.status().message());
-    return;
-  }
-  StudyOptions options = ctx.base;
-  options.seed = seed;
-  options.scale = scale;
+  ScanQuery query;
+  if (!ResolveScan(ctx, req, &query, resp)) return;
+  const HostEntityTable& table = query.scan->table;
   auto curve = GreedySetCover(
-      (*scan)->table, options.ScaledEntities(),
-      DefaultCoverageTValues(
-          static_cast<uint32_t>((*scan)->table.num_hosts())));
+      table, query.entities,
+      DefaultCoverageTValues(static_cast<uint32_t>(table.num_hosts())));
   if (!curve.ok()) {
     Fail(resp, 503, curve.status().message());
     return;
   }
   const WireFormat format = NegotiateFormat(req);
-  resp->content_type =
-      format == WireFormat::kTsv ? "text/tab-separated-values" : "application/json";
-  resp->body = SetCoverBody(domain, attr, *curve, format);
+  resp->content_type = ContentType(format);
+  resp->body = SetCoverBody(query.domain, query.attr, *curve, format);
 }
 
 void HandleGraph(ServeContext& ctx, const HttpRequest& req,
                  HttpResponse* resp) {
-  Domain domain;
-  Attribute attr;
-  uint64_t seed = 0;
-  double scale = 1.0;
-  if (!ParseDomainAttr(req, &domain, &attr, resp)) return;
-  if (!ParseSeedScale(req, ctx.base, &seed, &scale, resp)) return;
-
-  auto scan = ctx.cache->Get({domain, attr, seed, scale});
-  if (!scan.ok()) {
-    Fail(resp, 503, scan.status().message());
-    return;
-  }
-  StudyOptions options = ctx.base;
-  options.seed = seed;
-  options.scale = scale;
+  ScanQuery query;
+  if (!ResolveScan(ctx, req, &query, resp)) return;
   // Serial on purpose: requests are already parallel across connections,
   // and sharing one pool across requests would serialize them anyway.
-  auto row = ComputeGraphMetrics(domain, attr, (*scan)->table,
-                                 options.ScaledEntities(), nullptr);
+  auto row = ComputeGraphMetrics(query.domain, query.attr, query.scan->table,
+                                 query.entities, nullptr);
   if (!row.ok()) {
     Fail(resp, 503, row.status().message());
     return;
   }
   const WireFormat format = NegotiateFormat(req);
-  resp->content_type =
-      format == WireFormat::kTsv ? "text/tab-separated-values" : "application/json";
+  resp->content_type = ContentType(format);
   resp->body = GraphBody(*row, format);
 }
 
 void HandleDemand(ServeContext& ctx, const HttpRequest& req,
                   HttpResponse* resp) {
-  const auto site = ParseSiteName(req.QueryParam("site").value_or("yelp"));
+  const auto site = ParseTrafficSite(req.QueryParam("site").value_or("yelp"));
   if (!site.has_value()) {
     Fail(resp, 400, "unknown site parameter (amazon|yelp|imdb)");
     return;
   }
-  uint64_t seed = 0;
-  double scale = 1.0;
-  if (!ParseSeedScale(req, ctx.base, &seed, &scale, resp)) return;
+  StudyOptions options = ctx.base;
+  if (!ParseSeedScale(req, &options, resp)) return;
 
-  const std::tuple<int, uint64_t, double> key(static_cast<int>(*site), seed,
-                                              scale);
+  const std::tuple<int, uint64_t, double> key(static_cast<int>(*site),
+                                              options.seed, options.scale);
   std::shared_ptr<const Study::ValueStudyResult> result;
   {
     MutexLock lock(ctx.demand_mu);
@@ -305,9 +241,6 @@ void HandleDemand(ServeContext& ctx, const HttpRequest& req,
     if (it != ctx.demand_memo.end()) result = it->second;
   }
   if (result == nullptr) {
-    StudyOptions options = ctx.base;
-    options.seed = seed;
-    options.scale = scale;
     options.threads = 1;  // value studies are single-threaded anyway
     Study study(options);
     auto computed = study.RunValueStudy(*site);
@@ -321,8 +254,7 @@ void HandleDemand(ServeContext& ctx, const HttpRequest& req,
     ctx.demand_memo.emplace(key, result);
   }
   const WireFormat format = NegotiateFormat(req);
-  resp->content_type =
-      format == WireFormat::kTsv ? "text/tab-separated-values" : "application/json";
+  resp->content_type = ContentType(format);
   resp->body = DemandBody(*result, format);
 }
 
@@ -443,23 +375,8 @@ WireFormat NegotiateFormat(const HttpRequest& req) {
 
 std::string SpreadBody(Domain domain, Attribute attr,
                        const CoverageCurve& curve, WireFormat format) {
-  std::string out;
-  if (format == WireFormat::kTsv) {
-    out = "t";
-    for (size_t k = 1; k <= curve.k_coverage.size(); ++k) {
-      AppendFormat(&out, "\tk%zu", k);
-    }
-    out += "\n";
-    for (size_t i = 0; i < curve.t_values.size(); ++i) {
-      AppendFormat(&out, "%u", curve.t_values[i]);
-      for (const auto& series : curve.k_coverage) {
-        AppendFormat(&out, "\t%.6f", series[i]);
-      }
-      out += "\n";
-    }
-    return out;
-  }
-  out = "{\"domain\":";
+  if (format == WireFormat::kTsv) return CoverageTsv(curve);
+  std::string out = "{\"domain\":";
   AppendJsonString(&out, DomainName(domain));
   out += ",\"attr\":";
   AppendJsonString(&out, AttributeName(attr));
@@ -483,16 +400,8 @@ std::string SpreadBody(Domain domain, Attribute attr,
 
 std::string SetCoverBody(Domain domain, Attribute attr,
                          const SetCoverCurve& curve, WireFormat format) {
-  std::string out;
-  if (format == WireFormat::kTsv) {
-    out = "t\tgreedy\tby_size\n";
-    for (size_t i = 0; i < curve.t_values.size(); ++i) {
-      AppendFormat(&out, "%u\t%.6f\t%.6f\n", curve.t_values[i],
-                   curve.greedy_coverage[i], curve.size_coverage[i]);
-    }
-    return out;
-  }
-  out = "{\"domain\":";
+  if (format == WireFormat::kTsv) return SetCoverTsv(curve);
+  std::string out = "{\"domain\":";
   AppendJsonString(&out, DomainName(domain));
   out += ",\"attr\":";
   AppendJsonString(&out, AttributeName(attr));
@@ -513,18 +422,8 @@ std::string SetCoverBody(Domain domain, Attribute attr,
 }
 
 std::string GraphBody(const GraphMetricsRow& row, WireFormat format) {
-  std::string out;
-  if (format == WireFormat::kTsv) {
-    out = "domain\tattr\tavg_sites_per_entity\tdiameter\tcomponents\t"
-          "largest_pct\n";
-    AppendFormat(&out, "%s\t%s\t%.2f\t%u\t%u\t%.4f\n",
-                 std::string(DomainName(row.domain)).c_str(),
-                 std::string(AttributeName(row.attr)).c_str(),
-                 row.avg_sites_per_entity, row.diameter, row.num_components,
-                 row.largest_component_entity_pct);
-    return out;
-  }
-  out = "{\"domain\":";
+  if (format == WireFormat::kTsv) return GraphMetricsTsv({&row, 1});
+  std::string out = "{\"domain\":";
   AppendJsonString(&out, DomainName(row.domain));
   out += ",\"attr\":";
   AppendJsonString(&out, AttributeName(row.attr));
@@ -541,19 +440,8 @@ std::string GraphBody(const GraphMetricsRow& row, WireFormat format) {
 
 std::string DemandBody(const Study::ValueStudyResult& result,
                        WireFormat format) {
-  std::string out;
-  if (format == WireFormat::kTsv) {
-    out = "bin\tentities\tsearch_z\tbrowse_z\trel_va_search\trel_va_browse\n";
-    for (const auto& bin : result.bins) {
-      AppendFormat(&out, "%s\t%llu\t%.6f\t%.6f\t%.6f\t%.6f\n",
-                   bin.label.c_str(),
-                   static_cast<unsigned long long>(bin.num_entities),
-                   bin.mean_search_z, bin.mean_browse_z, bin.rel_va_search,
-                   bin.rel_va_browse);
-    }
-    return out;
-  }
-  out = "{\"site\":";
+  if (format == WireFormat::kTsv) return ValueBinsTsv(result.bins);
+  std::string out = "{\"site\":";
   AppendJsonString(&out, TrafficSiteName(result.site));
   AppendFormat(&out, ",\"head20_search\":%.6f,\"head20_browse\":%.6f,\"bins\":[",
                result.head20_search, result.head20_browse);

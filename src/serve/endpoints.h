@@ -1,9 +1,14 @@
 /// \file endpoints.h
-/// Request routing and response rendering for `wsdd`. Pure logic over
-/// parsed HttpRequests — no sockets — so the whole analysis surface is
-/// unit-testable without a running server. The *Body serializers are
-/// exposed so tests can assert that a served response is byte-identical
-/// to a direct Study call rendered through the same function.
+/// Request routing, content negotiation and JSON rendering for `wsdd`.
+/// Pure logic over parsed HttpRequests — no sockets — so the whole
+/// analysis surface is unit-testable without a running server. The
+/// request vocabulary (domain, attr and site names) comes from
+/// entity/domains, the attribute registry and traffic/url_patterns, the
+/// same tables wsdctl's flags read. The *Body serializers own the JSON
+/// layouts; their TSV branch returns the core/report renderer that
+/// `wsdctl --out` and `wsdctl paper` write, so a TSV response is
+/// byte-identical to the wsdctl file (pinned by
+/// `WsdctlTest.TsvMatchesServedBody`).
 ///
 /// Endpoints (GET only; anything else is 405 with an Allow header):
 ///   /healthz   liveness probe, text/plain "ok"
@@ -14,7 +19,7 @@
 ///   /demand    §4 value study          ?site=[&seed=][&scale=]
 /// Analysis endpoints return JSON by default; `?format=tsv` or an
 /// `Accept: text/tab-separated-values` header selects the TSV rendering
-/// (identical columns to `wsdctl --out`).
+/// (the same bytes as `wsdctl --out`).
 
 #ifndef WSD_SERVE_ENDPOINTS_H_
 #define WSD_SERVE_ENDPOINTS_H_
@@ -124,8 +129,8 @@ void HandleRequest(ServeContext& ctx, const HttpRequest& req,
 /// default JSON.
 WireFormat NegotiateFormat(const HttpRequest& req);
 
-/// Pure response renderers (deterministic; %.6f floats, matching the
-/// wsdctl TSV column layout).
+/// Pure response renderers (deterministic; %.6f floats). kTsv returns
+/// the core/report TSV body for the same result.
 std::string SpreadBody(Domain domain, Attribute attr,
                        const CoverageCurve& curve, WireFormat format);
 std::string SetCoverBody(Domain domain, Attribute attr,

@@ -55,6 +55,14 @@ std::string_view TrafficSiteName(TrafficSite site) {
   return "Unknown";
 }
 
+std::optional<TrafficSite> ParseTrafficSite(std::string_view name) {
+  for (TrafficSite site :
+       {TrafficSite::kAmazon, TrafficSite::kYelp, TrafficSite::kImdb}) {
+    if (EqualsIgnoreCase(name, TrafficSiteName(site))) return site;
+  }
+  return std::nullopt;
+}
+
 std::string EntityKeyString(TrafficSite site, uint32_t entity_index) {
   switch (site) {
     case TrafficSite::kAmazon:

@@ -18,6 +18,10 @@ enum class TrafficSite : int {
 
 std::string_view TrafficSiteName(TrafficSite site);
 
+/// Inverse of TrafficSiteName, case-insensitive ("amazon", "yelp",
+/// "imdb": the `--site` / `?site=` vocabulary). nullopt when unknown.
+std::optional<TrafficSite> ParseTrafficSite(std::string_view name);
+
 /// A URL resolved to the structured entity it denotes.
 struct EntityUrlKey {
   TrafficSite site = TrafficSite::kAmazon;

@@ -21,23 +21,24 @@ StatusOr<std::string> ReadFileToString(const std::string& path) {
   return bytes;
 }
 
+Status WriteStringToFile(const std::string& path, std::string_view data) {
+  std::ofstream out(path, std::ios::out | std::ios::trunc | std::ios::binary);
+  if (!out.is_open()) {
+    return Status::IOError("cannot open for writing: " + path);
+  }
+  out.write(data.data(), static_cast<std::streamsize>(data.size()));
+  out.flush();
+  if (!out.good()) return Status::IOError("write failure: " + path);
+  return Status::OK();
+}
+
 Status WriteFileAtomic(const std::string& path, std::string_view data) {
   // The temp file must live on the same filesystem as the target for
   // rename() to be atomic; a sibling name guarantees that.
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp,
-                      std::ios::out | std::ios::trunc | std::ios::binary);
-    if (!out.is_open()) {
-      return Status::IOError("cannot open for writing: " + tmp);
-    }
-    out.write(data.data(), static_cast<std::streamsize>(data.size()));
-    out.flush();
-    if (!out.good()) {
-      out.close();
-      std::remove(tmp.c_str());
-      return Status::IOError("write failure: " + tmp);
-    }
+  if (Status written = WriteStringToFile(tmp, data); !written.ok()) {
+    std::remove(tmp.c_str());
+    return written;
   }
   std::error_code ec;
   fs::rename(tmp, path, ec);

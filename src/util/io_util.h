@@ -13,6 +13,12 @@ namespace wsd {
 /// cannot be opened or read.
 [[nodiscard]] StatusOr<std::string> ReadFileToString(const std::string& path);
 
+/// Creates or truncates `path` and writes `data` to it. IOError naming
+/// the path when it cannot be opened (a directory, a missing parent) or
+/// written.
+[[nodiscard]] Status WriteStringToFile(const std::string& path,
+                                       std::string_view data);
+
 /// Atomically replaces `path` with `data`: writes to a sibling temp file
 /// and renames it over the target, so concurrent readers only ever see
 /// the old bytes or the new bytes, never a torn write. The temp file is

@@ -278,8 +278,21 @@ TEST_F(RoutingTest, HealthzAndUnknownAndMethod) {
 
 TEST_F(RoutingTest, BadParametersAre400) {
   EXPECT_EQ(Handle("GET /spread HTTP/1.1").status, 400);
-  EXPECT_EQ(Handle("GET /spread?domain=mars&attr=phone HTTP/1.1").status,
-            400);
+  const HttpResponse mars =
+      Handle("GET /spread?domain=mars&attr=phone HTTP/1.1");
+  EXPECT_EQ(mars.status, 400);
+  // The unknown-domain message lists exactly the nine flag names.
+  const size_t open = mars.body.find('(');
+  const size_t close = mars.body.find(')');
+  ASSERT_NE(open, std::string::npos) << mars.body;
+  ASSERT_NE(close, std::string::npos) << mars.body;
+  EXPECT_EQ(mars.body.substr(open + 1, close - open - 1),
+            "books|restaurants|automotive|banks|libraries|schools|hotels|"
+            "retail|home");
+  // Names are case-insensitive on the wire too.
+  EXPECT_EQ(
+      Handle("GET /spread?domain=BoOkS&attr=ISBN&scale=0.05 HTTP/1.1").status,
+      200);
   EXPECT_EQ(
       Handle("GET /spread?domain=books&attr=isbn&k=0 HTTP/1.1").status, 400);
   EXPECT_EQ(

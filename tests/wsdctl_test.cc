@@ -1,10 +1,12 @@
 // Integration smoke tests for the wsdctl CLI: exit codes, TSV output,
-// and the gen-cache/scan-cache loop, exercised through the real binary.
+// and the gen-cache/scan-cache loop, exercised through the real binary,
+// plus the byte parity of its TSVs with wsdd's in-process responses.
 // Skipped gracefully if the tools target was not built.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -13,9 +15,16 @@
 #include <string>
 #include <vector>
 
+#include "entity/domains.h"
+#include "extract/attribute_registry.h"
 #include "extract/host_table.h"
+#include "serve/endpoints.h"
+#include "serve/http.h"
+#include "serve/scan_cache.h"
 #include "store/snapshot.h"
+#include "traffic/url_patterns.h"
 #include "util/hash.h"
+#include "util/string_util.h"
 
 namespace wsd {
 namespace {
@@ -52,11 +61,54 @@ TEST(WsdctlTest, HelpAndUnknownCommand) {
   EXPECT_EQ(RunCli("frobnicate"), 2);
 }
 
+// Mixed case: every other letter upper-cased.
+std::string MixedCase(std::string_view name) {
+  std::string out(name);
+  for (size_t i = 0; i < out.size(); i += 2) {
+    out[i] = static_cast<char>(
+        std::toupper(static_cast<unsigned char>(out[i])));
+  }
+  return out;
+}
+
 TEST(WsdctlTest, RejectsBadDomainOrAttr) {
+  // The shared vocabulary tables round-trip every name in lower, upper
+  // and mixed case, and reject unknown names.
+  for (Domain d : AllDomains()) {
+    const std::string_view name = DomainFlagName(d);
+    EXPECT_EQ(ParseDomain(name), d) << name;
+    EXPECT_EQ(ParseDomain(ToUpper(name)), d) << name;
+    EXPECT_EQ(ParseDomain(MixedCase(name)), d) << name;
+  }
+  for (const AttributeSpec& spec : AllAttributeSpecs()) {
+    for (const std::string& name :
+         {std::string(spec.name), ToUpper(spec.name), MixedCase(spec.name)}) {
+      const AttributeSpec* found = FindAttributeByName(name);
+      ASSERT_NE(found, nullptr) << name;
+      EXPECT_EQ(found->attr, spec.attr) << name;
+    }
+  }
+  for (TrafficSite site :
+       {TrafficSite::kAmazon, TrafficSite::kYelp, TrafficSite::kImdb}) {
+    const std::string lower = ToLower(TrafficSiteName(site));
+    EXPECT_EQ(ParseTrafficSite(lower), site) << lower;
+    EXPECT_EQ(ParseTrafficSite(ToUpper(lower)), site) << lower;
+    EXPECT_EQ(ParseTrafficSite(MixedCase(lower)), site) << lower;
+  }
+  for (const char* unknown :
+       {"", "nonsense", "book", "homes", "Hotels & Lodging"}) {
+    EXPECT_EQ(ParseDomain(unknown), std::nullopt) << unknown;
+    EXPECT_EQ(FindAttributeByName(unknown), nullptr) << unknown;
+    EXPECT_EQ(ParseTrafficSite(unknown), std::nullopt) << unknown;
+  }
+
   SKIP_WITHOUT_CLI();
   EXPECT_EQ(RunCli("spread --domain nonsense --attr phone"), 2);
   EXPECT_EQ(RunCli("spread --domain banks --attr nonsense"), 2);
   EXPECT_EQ(RunCli("value --site myspace"), 2);
+  EXPECT_EQ(RunCli("graph --domain BaNkS --attr PHONE --entities 300 "
+                   "--scale 0.05 --seed 3"),
+            0);
 }
 
 TEST(WsdctlTest, SpreadWritesTsv) {
@@ -374,6 +426,105 @@ TEST(WsdctlTest, PaperOutputDigestIsPinned) {
   EXPECT_EQ(names.size(), 28u);
   EXPECT_EQ(XxHash64(blob), 0x92510b4698544a94ULL);
   fs::remove_all(dir);
+}
+
+// A present but malformed numeric flag is a usage error that names the
+// flag; it never falls back to the default or truncates the value.
+// 4294967696 is 2^32 + 400: a truncating reader would silently run 400
+// entities. 5000000000 goes through `domains`, which scans nothing,
+// because a truncating reader would otherwise start a 35M-entity run.
+TEST(WsdctlTest, MalformedNumericFlagsAreUsageErrors) {
+  SKIP_WITHOUT_CLI();
+  const std::string dir =
+      (fs::temp_directory_path() / "wsdctl_bad_flags").string();
+  fs::remove_all(dir);
+  ASSERT_TRUE(fs::create_directories(dir));
+  const std::string out = dir + "/a.tsv";
+  const std::string log = dir + "/stderr.txt";
+  const std::string spread =
+      "spread --domain books --attr isbn --entities 400 --scale 0.05 "
+      "--seed 42 ";
+  for (const auto& [args, name] :
+       {std::pair{spread + "--seed abc", "--seed"},
+        std::pair{spread + "--scale -3", "--scale"},
+        std::pair{spread + "--entities 4294967696", "--entities"},
+        std::pair{std::string("domains --entities 5000000000"),
+                  "--entities"}}) {
+    const std::string command =
+        CliPath() + " " + args + " --out " + out + " > /dev/null 2> " + log;
+    EXPECT_EQ(WEXITSTATUS(std::system(command.c_str())), 2) << args;
+    EXPECT_FALSE(fs::exists(out)) << args;
+    EXPECT_NE(ReadFile(log).find(name), std::string::npos) << ReadFile(log);
+  }
+  fs::remove_all(dir);
+}
+
+// Every `paper` failure prints its Status and names the file. Tests run
+// as root, where chmod cannot make a file unwritable, so a directory
+// squats on the output's name instead.
+TEST(WsdctlTest, PaperNamesUnwritableOutput) {
+  SKIP_WITHOUT_CLI();
+  const std::string root =
+      (fs::temp_directory_path() / "wsdctl_paper_blocked").string();
+  const std::string log =
+      (fs::temp_directory_path() / "wsdctl_paper_blocked.txt").string();
+  for (const char* name : {"fig3_isbn_books.tsv", "fig5_setcover.tsv"}) {
+    fs::remove_all(root);
+    const std::string blocked = root + "/" + name;
+    ASSERT_TRUE(fs::create_directories(blocked));
+    const std::string command =
+        CliPath() + " paper --entities 400 --scale 0.05 --seed 42 --outdir " +
+        root + " > /dev/null 2> " + log;
+    EXPECT_EQ(WEXITSTATUS(std::system(command.c_str())), 1) << name;
+    EXPECT_NE(ReadFile(log).find(blocked), std::string::npos)
+        << ReadFile(log);
+  }
+  fs::remove_all(root);
+  std::remove(log.c_str());
+}
+
+// docs/SERVING.md promises that a wsdd TSV response is byte-identical to
+// the `wsdctl --out` file for the same analysis and config. Both front
+// ends render through core/report; this compares the two for every
+// analysis endpoint.
+TEST(WsdctlTest, TsvMatchesServedBody) {
+  SKIP_WITHOUT_CLI();
+  StudyOptions options;
+  options.num_entities = 400;
+  options.scale = 0.05;
+  options.seed = 42;
+  options.threads = 1;
+  ScanHandleCache cache(options, 64u * 1024 * 1024);
+  ServeContext ctx;
+  ctx.base = options;
+  ctx.cache = &cache;
+
+  const std::string out =
+      (fs::temp_directory_path() / "wsdctl_parity.tsv").string();
+  const std::pair<const char*, const char*> kCases[] = {
+      {"spread --domain books --attr isbn", "/spread?domain=books&attr=isbn"},
+      {"setcover --domain restaurants --attr homepage",
+       "/setcover?domain=restaurants&attr=homepage"},
+      {"graph --domain banks --attr phone", "/graph?domain=banks&attr=phone"},
+      {"value --site yelp", "/demand?site=yelp"},
+  };
+  for (const auto& [command, target] : kCases) {
+    std::remove(out.c_str());
+    ASSERT_EQ(RunCli(std::string(command) +
+                     " --entities 400 --scale 0.05 --seed 42 --out " + out),
+              0)
+        << command;
+    const auto parsed = ParseHttpRequest(
+        std::string("GET ") + target + "&format=tsv HTTP/1.1\r\n\r\n",
+        HttpLimits());
+    ASSERT_EQ(parsed.state, HttpParseState::kOk) << target;
+    HttpResponse resp;
+    HandleRequest(ctx, parsed.request, &resp);
+    ASSERT_EQ(resp.status, 200) << target << ": " << resp.body;
+    EXPECT_EQ(resp.content_type, "text/tab-separated-values");
+    EXPECT_EQ(ReadFile(out), resp.body) << command;
+  }
+  std::remove(out.c_str());
 }
 
 }  // namespace

@@ -16,23 +16,25 @@
 //   merge                 recombine per-shard snapshots into one
 //   metrics               run a command (or a scan), dump the metrics registry
 //
-// Common flags: --domain=<name> --attr=<name> (the attribute vocabulary
-//               comes from the attribute registry: phone homepage isbn
-//               reviews microdata)
+// Common flags: --domain=<name> --attr=<name> (case-insensitive; the
+//               domain names come from entity/domains, the attribute
+//               names from the attribute registry)
 //               --entities=N --seed=N --scale=F --out=<file.tsv>
 //               --artifacts=<dir> --metrics_out=<file.json>
 // Every command prints a human table to stdout; --out additionally dumps
-// machine-readable TSV and --metrics_out dumps the metrics registry as
-// JSON after the run (see docs/METRICS.md). --artifacts enables the
-// on-disk scan-artifact cache (see docs/ARCHITECTURE.md, "Artifact
-// store"): identical reruns then skip their scans entirely.
+// machine-readable TSV (rendered by core/report, the same bytes wsdd
+// serves for format=tsv) and --metrics_out dumps the metrics registry as
+// JSON after the run (see docs/METRICS.md). A malformed --entities,
+// --seed, --scale or --threads is a usage error (exit 2). --artifacts
+// enables the on-disk scan-artifact cache (see docs/ARCHITECTURE.md,
+// "Artifact store"): identical reruns then skip their scans entirely.
 
-#include <cstdio>
+#include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/bootstrap.h"
@@ -42,10 +44,10 @@
 #include "extract/attribute_registry.h"
 #include "store/merge.h"
 #include "store/snapshot.h"
+#include "traffic/url_patterns.h"
 #include "util/flags.h"
 #include "corpus/web_cache.h"
 #include "graph/diameter.h"
-#include "util/csv.h"
 #include "util/io_util.h"
 #include "util/metrics.h"
 #include "util/string_util.h"
@@ -54,82 +56,96 @@ namespace wsd {
 namespace {
 
 using Args = FlagParser;
+using Graphs = std::vector<std::pair<Domain, Attribute>>;
 
-std::optional<Domain> ParseDomain(std::string_view name) {
-  static const std::map<std::string, Domain> kNames = {
-      {"books", Domain::kBooks},
-      {"restaurants", Domain::kRestaurants},
-      {"automotive", Domain::kAutomotive},
-      {"banks", Domain::kBanks},
-      {"libraries", Domain::kLibraries},
-      {"schools", Domain::kSchools},
-      {"hotels", Domain::kHotels},
-      {"retail", Domain::kRetail},
-      {"home", Domain::kHomeGarden},
-  };
-  auto it = kNames.find(ToLower(name));
-  if (it == kNames.end()) return std::nullopt;
-  return it->second;
+// Prints a runtime failure; the command exits 1.
+int Fail(const Status& status) {
+  std::cerr << status << "\n";
+  return 1;
 }
 
-std::optional<Attribute> ParseAttribute(std::string_view name) {
-  // Registry-driven: a newly registered channel is automatically part of
-  // the CLI vocabulary.
-  const AttributeSpec* spec = FindAttributeByName(ToLower(name));
-  if (spec == nullptr) return std::nullopt;
-  return spec->attr;
+// --domain (default restaurants) and --attr (default `default_attr`),
+// read through the shared vocabulary tables. False after printing the
+// usage error.
+bool ParseDomainAttr(const Args& args, const char* default_attr,
+                     Domain* domain, Attribute* attr) {
+  const auto d = ParseDomain(args.GetOr("domain", "restaurants"));
+  const AttributeSpec* spec =
+      FindAttributeByName(args.GetOr("attr", default_attr));
+  if (!d.has_value() || spec == nullptr) {
+    std::cerr << "unknown --domain or --attr\n";
+    return false;
+  }
+  *domain = *d;
+  *attr = spec->attr;
+  return true;
 }
 
-// The --attr vocabulary for help/error text, from the registry.
-std::string AttributeVocabulary() {
-  std::string out;
-  for (const AttributeSpec& spec : AllAttributeSpecs()) {
-    if (!out.empty()) out += ' ';
-    out += spec.name;
-  }
-  return out;
-}
-
-std::optional<TrafficSite> ParseSite(std::string_view name) {
-  const std::string lower = ToLower(name);
-  if (lower == "amazon") return TrafficSite::kAmazon;
-  if (lower == "yelp") return TrafficSite::kYelp;
-  if (lower == "imdb") return TrafficSite::kImdb;
-  return std::nullopt;
-}
-
-StudyOptions OptionsFrom(const Args& args) {
-  StudyOptions options = StudyOptions::FromEnv();
-  if (auto v = args.Get("entities")) {
-    if (auto n = ParseUint64(*v)) {
-      options.num_entities = static_cast<uint32_t>(*n);
-    }
-  }
-  if (auto v = args.Get("seed")) {
-    if (auto n = ParseUint64(*v)) options.seed = *n;
-  }
-  if (auto v = args.Get("scale")) {
-    if (auto f = ParseDouble(*v); f && *f > 0) options.scale = *f;
-  }
-  if (auto v = args.Get("threads")) {
-    if (auto n = ParseUint64(*v)) {
-      options.threads = static_cast<uint32_t>(*n);
-    }
-  }
-  if (auto v = args.Get("artifacts")) options.artifact_dir = *v;
-  return options;
-}
-
-Status MaybeWriteTsv(const Args& args,
-                     const std::vector<std::vector<std::string>>& rows) {
+// Writes `tsv` to --out when given. Returns the command's exit code.
+int MaybeWriteTsv(const Args& args, const std::string& tsv) {
   auto out = args.Get("out");
-  if (!out.has_value()) return Status::OK();
-  CsvWriter writer('\t');
-  WSD_RETURN_IF_ERROR(writer.Open(*out));
-  for (const auto& row : rows) writer.WriteRow(row);
-  WSD_RETURN_IF_ERROR(writer.Close());
-  std::cout << "\nwrote " << rows.size() << " rows to " << *out << "\n";
-  return Status::OK();
+  if (!out.has_value()) return 0;
+  if (const Status status = WriteStringToFile(*out, tsv); !status.ok()) {
+    return Fail(status);
+  }
+  const auto rows = std::count(tsv.begin(), tsv.end(), '\n');
+  std::cout << "\nwrote " << rows << " rows to " << *out << "\n";
+  return 0;
+}
+
+// The 17 graphs of Table 2 and Fig 9, in the paper's row order: books by
+// ISBN, then every local-business domain by phone, then by homepage.
+Graphs Table2Graphs() {
+  Graphs graphs = {{Domain::kBooks, Attribute::kIsbn}};
+  for (Attribute attr : {Attribute::kPhone, Attribute::kHomepage}) {
+    for (Domain domain : LocalBusinessDomains()) {
+      graphs.emplace_back(domain, attr);
+    }
+  }
+  return graphs;
+}
+
+// ---------------------------------------------------------------------
+// Analyses shared by the single-figure commands and `paper`.
+
+StatusOr<Study::SpreadResult> Spread(Study& study, Domain domain,
+                                     Attribute attr) {
+  WSD_ASSIGN_OR_RETURN(const auto scan, study.Scan(domain, attr));
+  return study.RunSpread(scan);
+}
+
+StatusOr<Study::ReviewSpreadResult> Reviews(Study& study) {
+  WSD_ASSIGN_OR_RETURN(const auto scan,
+                       study.Scan(Domain::kRestaurants, Attribute::kReviews));
+  return study.RunReviewSpread(scan);
+}
+
+StatusOr<SetCoverCurve> SetCover(Study& study, Domain domain,
+                                 Attribute attr) {
+  WSD_ASSIGN_OR_RETURN(const auto scan, study.Scan(domain, attr));
+  return study.RunSetCover(scan);
+}
+
+StatusOr<std::vector<GraphMetricsRow>> GraphRows(Study& study,
+                                                 const Graphs& graphs) {
+  std::vector<GraphMetricsRow> rows;
+  for (const auto& [domain, attr] : graphs) {
+    WSD_ASSIGN_OR_RETURN(const auto scan, study.Scan(domain, attr));
+    WSD_ASSIGN_OR_RETURN(auto row, study.RunGraphMetrics(scan));
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+StatusOr<std::vector<RobustnessSeries>> RobustnessSweeps(
+    Study& study, const Graphs& graphs) {
+  std::vector<RobustnessSeries> sweeps;
+  for (const auto& [domain, attr] : graphs) {
+    WSD_ASSIGN_OR_RETURN(const auto scan, study.Scan(domain, attr));
+    WSD_ASSIGN_OR_RETURN(auto points, study.RunRobustness(scan, 10));
+    sweeps.push_back({domain, attr, std::move(points)});
+  }
+  return sweeps;
 }
 
 // ---------------------------------------------------------------------
@@ -137,261 +153,127 @@ Status MaybeWriteTsv(const Args& args,
 
 int CmdDomains(const Args& args) {
   TextTable table({"domain", "flag value", "attributes"});
-  static const char* kFlagNames[] = {"books", "restaurants", "automotive",
-                                     "banks", "libraries",   "schools",
-                                     "hotels", "retail",     "home"};
-  std::vector<std::vector<std::string>> tsv = {
-      {"domain", "flag", "attributes"}};
-  int i = 0;
+  std::string tsv = "domain\tflag\tattributes\n";
   for (Domain d : AllDomains()) {
     std::string attrs;
     for (Attribute a : StudiedAttributes(d)) {
       if (!attrs.empty()) attrs += ",";
-      attrs += std::string(AttributeName(a));
+      attrs += AttributeName(a);
     }
-    table.AddRow({std::string(DomainName(d)), kFlagNames[i], attrs});
-    tsv.push_back({std::string(DomainName(d)), kFlagNames[i], attrs});
-    ++i;
+    const std::string name(DomainName(d));
+    const std::string flag(DomainFlagName(d));
+    table.AddRow({name, flag, attrs});
+    tsv += name + "\t" + flag + "\t" + attrs + "\n";
   }
   table.Print(std::cout);
-  const Status status = MaybeWriteTsv(args, tsv);
-  if (!status.ok()) std::cerr << status << "\n";
-  return status.ok() ? 0 : 1;
+  return MaybeWriteTsv(args, tsv);
 }
 
-int CmdSpread(const Args& args) {
-  const auto domain = ParseDomain(args.GetOr("domain", "restaurants"));
-  const auto attr = ParseAttribute(args.GetOr("attr", "phone"));
-  if (!domain || !attr) {
-    std::cerr << "unknown --domain or --attr\n";
-    return 2;
-  }
-  Study study(OptionsFrom(args));
-  auto scan = study.Scan(*domain, *attr);
-  if (!scan.ok()) {
-    std::cerr << scan.status() << "\n";
-    return 1;
-  }
-  auto spread = study.RunSpread(*scan);
-  if (!spread.ok()) {
-    std::cerr << spread.status() << "\n";
-    return 1;
-  }
+int CmdSpread(const Args& args, const StudyOptions& options) {
+  Domain domain;
+  Attribute attr;
+  if (!ParseDomainAttr(args, "phone", &domain, &attr)) return 2;
+  Study study(options);
+  const auto spread = Spread(study, domain, attr);
+  if (!spread.ok()) return Fail(spread.status());
   PrintCoverageCurve(
       StrFormat("%s - %s spread",
-                std::string(DomainName(*domain)).c_str(),
-                std::string(AttributeName(*attr)).c_str()),
+                std::string(DomainName(domain)).c_str(),
+                std::string(AttributeName(attr)).c_str()),
       spread->curve, std::cout);
-
-  std::vector<std::vector<std::string>> tsv;
-  std::vector<std::string> header = {"t"};
-  for (size_t k = 1; k <= spread->curve.k_coverage.size(); ++k) {
-    header.push_back(StrFormat("k%zu", k));
-  }
-  tsv.push_back(header);
-  for (size_t i = 0; i < spread->curve.t_values.size(); ++i) {
-    std::vector<std::string> row = {
-        std::to_string(spread->curve.t_values[i])};
-    for (const auto& series : spread->curve.k_coverage) {
-      row.push_back(StrFormat("%.6f", series[i]));
-    }
-    tsv.push_back(row);
-  }
-  const Status status = MaybeWriteTsv(args, tsv);
-  if (!status.ok()) std::cerr << status << "\n";
-  return status.ok() ? 0 : 1;
+  return MaybeWriteTsv(args, CoverageTsv(spread->curve));
 }
 
-int CmdReviews(const Args& args) {
-  Study study(OptionsFrom(args));
-  auto scan = study.Scan(Domain::kRestaurants, Attribute::kReviews);
-  if (!scan.ok()) {
-    std::cerr << scan.status() << "\n";
-    return 1;
-  }
-  auto result = study.RunReviewSpread(*scan);
-  if (!result.ok()) {
-    std::cerr << result.status() << "\n";
-    return 1;
-  }
+int CmdReviews(const Args& args, const StudyOptions& options) {
+  Study study(options);
+  const auto result = Reviews(study);
+  if (!result.ok()) return Fail(result.status());
   PrintCoverageCurve("Restaurant reviews - site-level k-coverage",
                      result->site_curve, std::cout);
   std::cout << "\n";
   PrintPageCoverage("Restaurant reviews - page-level coverage",
                     result->page_curve, std::cout);
 
-  std::vector<std::vector<std::string>> tsv = {
-      {"t", "k1_sites", "page_fraction"}};
+  std::string tsv = "t\tk1_sites\tpage_fraction\n";
   for (size_t i = 0; i < result->site_curve.t_values.size(); ++i) {
-    tsv.push_back({std::to_string(result->site_curve.t_values[i]),
-                   StrFormat("%.6f", result->site_curve.k_coverage[0][i]),
-                   StrFormat("%.6f", result->page_curve.page_fraction[i])});
+    AppendFormat(&tsv, "%u\t%.6f\t%.6f\n", result->site_curve.t_values[i],
+                 result->site_curve.k_coverage[0][i],
+                 result->page_curve.page_fraction[i]);
   }
-  const Status status = MaybeWriteTsv(args, tsv);
-  if (!status.ok()) std::cerr << status << "\n";
-  return status.ok() ? 0 : 1;
+  return MaybeWriteTsv(args, tsv);
 }
 
-int CmdSetCover(const Args& args) {
-  const auto domain = ParseDomain(args.GetOr("domain", "restaurants"));
-  const auto attr = ParseAttribute(args.GetOr("attr", "homepage"));
-  if (!domain || !attr) {
-    std::cerr << "unknown --domain or --attr\n";
-    return 2;
-  }
-  Study study(OptionsFrom(args));
-  auto scan = study.Scan(*domain, *attr);
-  if (!scan.ok()) {
-    std::cerr << scan.status() << "\n";
-    return 1;
-  }
-  auto curve = study.RunSetCover(*scan);
-  if (!curve.ok()) {
-    std::cerr << curve.status() << "\n";
-    return 1;
-  }
+int CmdSetCover(const Args& args, const StudyOptions& options) {
+  Domain domain;
+  Attribute attr;
+  if (!ParseDomainAttr(args, "homepage", &domain, &attr)) return 2;
+  Study study(options);
+  const auto curve = SetCover(study, domain, attr);
+  if (!curve.ok()) return Fail(curve.status());
   PrintSetCover("greedy set cover vs size ordering", *curve, std::cout);
-  std::vector<std::vector<std::string>> tsv = {{"t", "greedy", "by_size"}};
-  for (size_t i = 0; i < curve->t_values.size(); ++i) {
-    tsv.push_back({std::to_string(curve->t_values[i]),
-                   StrFormat("%.6f", curve->greedy_coverage[i]),
-                   StrFormat("%.6f", curve->size_coverage[i])});
-  }
-  const Status status = MaybeWriteTsv(args, tsv);
-  if (!status.ok()) std::cerr << status << "\n";
-  return status.ok() ? 0 : 1;
+  return MaybeWriteTsv(args, SetCoverTsv(*curve));
 }
 
-int CmdGraph(const Args& args) {
-  Study study(OptionsFrom(args));
-  std::vector<GraphMetricsRow> rows;
-  auto add = [&](Domain d, Attribute a) -> bool {
-    auto scan = study.Scan(d, a);
-    if (!scan.ok()) {
-      std::cerr << scan.status() << "\n";
-      return false;
-    }
-    auto row = study.RunGraphMetrics(*scan);
-    if (!row.ok()) {
-      std::cerr << row.status() << "\n";
-      return false;
-    }
-    rows.push_back(std::move(row).value());
-    return true;
-  };
+int CmdGraph(const Args& args, const StudyOptions& options) {
+  Graphs graphs;
   if (args.Has("all")) {
-    if (!add(Domain::kBooks, Attribute::kIsbn)) return 1;
-    for (Domain d : LocalBusinessDomains()) {
-      if (!add(d, Attribute::kPhone)) return 1;
-    }
-    for (Domain d : LocalBusinessDomains()) {
-      if (!add(d, Attribute::kHomepage)) return 1;
-    }
+    graphs = Table2Graphs();
   } else {
-    const auto domain = ParseDomain(args.GetOr("domain", "restaurants"));
-    const auto attr = ParseAttribute(args.GetOr("attr", "phone"));
-    if (!domain || !attr) {
-      std::cerr << "unknown --domain or --attr\n";
-      return 2;
-    }
-    if (!add(*domain, *attr)) return 1;
+    Domain domain;
+    Attribute attr;
+    if (!ParseDomainAttr(args, "phone", &domain, &attr)) return 2;
+    graphs = {{domain, attr}};
   }
-  PrintGraphMetrics(rows, std::cout);
-  std::vector<std::vector<std::string>> tsv = {
-      {"domain", "attr", "avg_sites_per_entity", "diameter", "components",
-       "largest_pct"}};
-  for (const auto& row : rows) {
-    tsv.push_back({std::string(DomainName(row.domain)),
-                   std::string(AttributeName(row.attr)),
-                   StrFormat("%.2f", row.avg_sites_per_entity),
-                   std::to_string(row.diameter),
-                   std::to_string(row.num_components),
-                   StrFormat("%.4f", row.largest_component_entity_pct)});
-  }
-  const Status status = MaybeWriteTsv(args, tsv);
-  if (!status.ok()) std::cerr << status << "\n";
-  return status.ok() ? 0 : 1;
+  Study study(options);
+  const auto rows = GraphRows(study, graphs);
+  if (!rows.ok()) return Fail(rows.status());
+  PrintGraphMetrics(*rows, std::cout);
+  return MaybeWriteTsv(args, GraphMetricsTsv(*rows));
 }
 
-int CmdRobustness(const Args& args) {
-  const auto domain = ParseDomain(args.GetOr("domain", "restaurants"));
-  const auto attr = ParseAttribute(args.GetOr("attr", "phone"));
-  if (!domain || !attr) {
-    std::cerr << "unknown --domain or --attr\n";
-    return 2;
-  }
-  Study study(OptionsFrom(args));
-  auto scan = study.Scan(*domain, *attr);
-  if (!scan.ok()) {
-    std::cerr << scan.status() << "\n";
-    return 1;
-  }
-  auto sweep = study.RunRobustness(*scan, 10);
-  if (!sweep.ok()) {
-    std::cerr << sweep.status() << "\n";
-    return 1;
-  }
-  PrintRobustness("largest component vs removed top sites", *sweep,
+int CmdRobustness(const Args& args, const StudyOptions& options) {
+  Domain domain;
+  Attribute attr;
+  if (!ParseDomainAttr(args, "phone", &domain, &attr)) return 2;
+  Study study(options);
+  const auto sweeps = RobustnessSweeps(study, {{domain, attr}});
+  if (!sweeps.ok()) return Fail(sweeps.status());
+  const std::vector<RobustnessPoint>& sweep = sweeps->front().points;
+  PrintRobustness("largest component vs removed top sites", sweep,
                   std::cout);
-  std::vector<std::vector<std::string>> tsv = {
-      {"removed", "components", "largest_fraction"}};
-  for (const auto& point : *sweep) {
-    tsv.push_back({std::to_string(point.removed_sites),
-                   std::to_string(point.num_components),
-                   StrFormat("%.6f",
-                             point.largest_component_entity_fraction)});
+  std::string tsv = "removed\tcomponents\tlargest_fraction\n";
+  for (const auto& point : sweep) {
+    AppendFormat(&tsv, "%u\t%u\t%.6f\n", point.removed_sites,
+                 point.num_components,
+                 point.largest_component_entity_fraction);
   }
-  const Status status = MaybeWriteTsv(args, tsv);
-  if (!status.ok()) std::cerr << status << "\n";
-  return status.ok() ? 0 : 1;
+  return MaybeWriteTsv(args, tsv);
 }
 
-int CmdValue(const Args& args) {
-  const auto site = ParseSite(args.GetOr("site", "yelp"));
+int CmdValue(const Args& args, const StudyOptions& options) {
+  const auto site = ParseTrafficSite(args.GetOr("site", "yelp"));
   if (!site) {
     std::cerr << "unknown --site (amazon|yelp|imdb)\n";
     return 2;
   }
-  Study study(OptionsFrom(args));
-  auto result = study.RunValueStudy(*site);
-  if (!result.ok()) {
-    std::cerr << result.status() << "\n";
-    return 1;
-  }
+  Study study(options);
+  const auto result = study.RunValueStudy(*site);
+  if (!result.ok()) return Fail(result.status());
   std::cout << TrafficSiteName(*site) << ": top-20% demand share "
             << FormatPct(result->head20_search) << " (search) / "
             << FormatPct(result->head20_browse) << " (browse)\n\n";
   PrintValueAddBins("demand and value-add by review-count bin",
                     result->bins, std::cout);
-  std::vector<std::vector<std::string>> tsv = {
-      {"bin", "entities", "search_z", "browse_z", "rel_va_search",
-       "rel_va_browse"}};
-  for (const auto& bin : result->bins) {
-    tsv.push_back({bin.label, std::to_string(bin.num_entities),
-                   StrFormat("%.6f", bin.mean_search_z),
-                   StrFormat("%.6f", bin.mean_browse_z),
-                   StrFormat("%.6f", bin.rel_va_search),
-                   StrFormat("%.6f", bin.rel_va_browse)});
-  }
-  const Status status = MaybeWriteTsv(args, tsv);
-  if (!status.ok()) std::cerr << status << "\n";
-  return status.ok() ? 0 : 1;
+  return MaybeWriteTsv(args, ValueBinsTsv(result->bins));
 }
 
-int CmdBootstrap(const Args& args) {
-  const auto domain = ParseDomain(args.GetOr("domain", "restaurants"));
-  const auto attr = ParseAttribute(args.GetOr("attr", "phone"));
-  if (!domain || !attr) {
-    std::cerr << "unknown --domain or --attr\n";
-    return 2;
-  }
-  const StudyOptions options = OptionsFrom(args);
+int CmdBootstrap(const Args& args, const StudyOptions& options) {
+  Domain domain;
+  Attribute attr;
+  if (!ParseDomainAttr(args, "phone", &domain, &attr)) return 2;
   Study study(options);
-  auto scan = study.RunScan(*domain, *attr);
-  if (!scan.ok()) {
-    std::cerr << scan.status() << "\n";
-    return 1;
-  }
+  auto scan = study.RunScan(domain, attr);
+  if (!scan.ok()) return Fail(scan.status());
   const auto graph = BipartiteGraph::FromHostTable(
       scan->table, options.ScaledEntities());
   const auto diameter = ExactDiameter(graph, 20000, &study.pool());
@@ -403,10 +285,7 @@ int CmdBootstrap(const Args& args) {
     }
   }
   auto stats = BootstrapRandomSeeds(graph, seed_count, 25, rng);
-  if (!stats.ok()) {
-    std::cerr << stats.status() << "\n";
-    return 1;
-  }
+  if (!stats.ok()) return Fail(stats.status());
   std::cout << "graph diameter " << diameter.diameter << " (bound: at most "
             << (diameter.diameter + 1) / 2 << " iterations)\n"
             << "random " << seed_count << "-seed trials: iterations mean "
@@ -418,21 +297,14 @@ int CmdBootstrap(const Args& args) {
   return 0;
 }
 
-int CmdGenCache(const Args& args) {
-  const auto domain = ParseDomain(args.GetOr("domain", "restaurants"));
-  const auto attr = ParseAttribute(args.GetOr("attr", "phone"));
+int CmdGenCache(const Args& args, const StudyOptions& options) {
+  Domain domain;
+  Attribute attr;
+  if (!ParseDomainAttr(args, "phone", &domain, &attr)) return 2;
   const std::string out = args.GetOr("out", "web_cache.bin");
-  if (!domain || !attr) {
-    std::cerr << "unknown --domain or --attr\n";
-    return 2;
-  }
-  const StudyOptions options = OptionsFrom(args);
   Study study(options);
-  auto web = study.BuildWeb(*domain, *attr);
-  if (!web.ok()) {
-    std::cerr << web.status() << "\n";
-    return 1;
-  }
+  auto web = study.BuildWeb(domain, attr);
+  if (!web.ok()) return Fail(web.status());
   WebCacheWriter writer;
   Status status = writer.Open(out);
   for (SiteId s = 0; status.ok() && s < web->num_hosts(); ++s) {
@@ -441,47 +313,31 @@ int CmdGenCache(const Args& args) {
     });
   }
   if (status.ok()) status = writer.Close();
-  if (!status.ok()) {
-    std::cerr << status << "\n";
-    return 1;
-  }
+  if (!status.ok()) return Fail(status);
   std::cout << "wrote " << writer.pages_written() << " pages to " << out
             << "\n";
   return 0;
 }
 
-int CmdScanCache(const Args& args) {
-  const auto domain = ParseDomain(args.GetOr("domain", "restaurants"));
-  const auto attr = ParseAttribute(args.GetOr("attr", "phone"));
+int CmdScanCache(const Args& args, const StudyOptions& options) {
+  Domain domain;
+  Attribute attr;
+  if (!ParseDomainAttr(args, "phone", &domain, &attr)) return 2;
   const std::string in = args.GetOr("in", "web_cache.bin");
-  if (!domain || !attr) {
-    std::cerr << "unknown --domain or --attr\n";
-    return 2;
-  }
-  const StudyOptions options = OptionsFrom(args);
   // The catalog must match the one the cache was generated against:
   // same domain, entities and seed.
-  auto catalog = DomainCatalog::Build(*domain, options.ScaledEntities(),
+  auto catalog = DomainCatalog::Build(domain, options.ScaledEntities(),
                                       options.seed);
-  if (!catalog.ok()) {
-    std::cerr << catalog.status() << "\n";
-    return 1;
-  }
+  if (!catalog.ok()) return Fail(catalog.status());
   std::optional<ReviewDetector> detector;
-  if (GetAttributeSpec(*attr).review_channel) {
+  if (GetAttributeSpec(attr).review_channel) {
     auto built = ReviewDetector::CreateDefault(options.seed ^ 0xdecafULL);
-    if (!built.ok()) {
-      std::cerr << built.status() << "\n";
-      return 1;
-    }
+    if (!built.ok()) return Fail(built.status());
     detector.emplace(std::move(built).value());
   }
-  auto result = ScanCacheFile(in, *catalog, *attr,
+  auto result = ScanCacheFile(in, *catalog, attr,
                               detector ? &*detector : nullptr);
-  if (!result.ok()) {
-    std::cerr << result.status() << "\n";
-    return 1;
-  }
+  if (!result.ok()) return Fail(result.status());
   std::cout << "scanned " << result->stats.pages_scanned << " pages ("
             << result->stats.bytes_scanned / (1024 * 1024) << " MiB) across "
             << result->stats.hosts_scanned << " hosts; matched "
@@ -496,10 +352,7 @@ int CmdScanCache(const Args& args) {
   }
   if (auto out = args.Get("table-out")) {
     const Status status = result->table.WriteTsv(*out);
-    if (!status.ok()) {
-      std::cerr << status << "\n";
-      return 1;
-    }
+    if (!status.ok()) return Fail(status);
     std::cout << "wrote host table to " << *out << "\n";
   }
   return 0;
@@ -515,13 +368,10 @@ int CmdScanCache(const Args& args) {
 // with --canonical) are written in canonical form — hosts sorted by
 // name, wall time zeroed — so a merged 1..n sweep is byte-identical to
 // the monolithic `--canonical` snapshot (cmp-able in CI).
-int CmdScan(const Args& args) {
-  const auto domain = ParseDomain(args.GetOr("domain", "restaurants"));
-  const auto attr = ParseAttribute(args.GetOr("attr", "phone"));
-  if (!domain || !attr) {
-    std::cerr << "unknown --domain or --attr\n";
-    return 2;
-  }
+int CmdScan(const Args& args, const StudyOptions& options) {
+  Domain domain;
+  Attribute attr;
+  if (!ParseDomainAttr(args, "phone", &domain, &attr)) return 2;
   ShardSpec shard;
   if (auto v = args.Get("shard")) {
     auto parsed = ShardSpec::Parse(*v);
@@ -532,7 +382,6 @@ int CmdScan(const Args& args) {
     shard = *parsed;
   }
   const bool canonical = args.Has("canonical") || !shard.whole();
-  const StudyOptions options = OptionsFrom(args);
   Study study(options);
 
   ScanResult result;
@@ -542,26 +391,17 @@ int CmdScan(const Args& args) {
                    "the product of a shard scan\n";
       return 2;
     }
-    auto scanned = study.RunShardScan(*domain, *attr, shard);
-    if (!scanned.ok()) {
-      std::cerr << scanned.status() << "\n";
-      return 1;
-    }
+    auto scanned = study.RunShardScan(domain, attr, shard);
+    if (!scanned.ok()) return Fail(scanned.status());
     result = std::move(scanned).value();
   } else {
-    auto scan = study.Scan(*domain, *attr);
-    if (!scan.ok()) {
-      std::cerr << scan.status() << "\n";
-      return 1;
-    }
+    auto scan = study.Scan(domain, attr);
+    if (!scan.ok()) return Fail(scan.status());
     result = scan->result();
   }
   if (canonical) {
     const Status status = CanonicalizeScanResult(&result);
-    if (!status.ok()) {
-      std::cerr << status << "\n";
-      return 1;
-    }
+    if (!status.ok()) return Fail(status);
   }
   const ScanStats& stats = result.stats;
   std::cout << "scanned " << stats.pages_scanned << " pages ("
@@ -571,8 +411,8 @@ int CmdScan(const Args& args) {
             << FormatF(stats.wall_seconds, 2) << "s\n";
   if (auto out = args.Get("out")) {
     ArtifactKey key;
-    key.domain = *domain;
-    key.attr = *attr;
+    key.domain = domain;
+    key.attr = attr;
     key.num_entities = options.num_entities;
     key.seed = options.seed;
     key.scale = options.scale;
@@ -580,18 +420,12 @@ int CmdScan(const Args& args) {
     meta.shard_index = shard.index;
     meta.shard_count = shard.count;
     const Status status = WriteSnapshotFileAligned(*out, result, meta);
-    if (!status.ok()) {
-      std::cerr << status << "\n";
-      return 1;
-    }
+    if (!status.ok()) return Fail(status);
     std::cout << "wrote snapshot to " << *out << "\n";
   }
   if (auto out = args.Get("table-out")) {
     const Status status = result.table.WriteTsv(*out);
-    if (!status.ok()) {
-      std::cerr << status << "\n";
-      return 1;
-    }
+    if (!status.ok()) return Fail(status);
     std::cout << "wrote host table to " << *out << "\n";
   }
   return 0;
@@ -630,10 +464,7 @@ int CmdMerge(const Args& args) {
     shards.push_back(std::move(loaded).value());
   }
   auto merged = MergeSnapshots(std::move(shards));
-  if (!merged.ok()) {
-    std::cerr << merged.status() << "\n";
-    return 1;
-  }
+  if (!merged.ok()) return Fail(merged.status());
   const ScanStats& stats = merged->result.stats;
   std::cout << "merged " << inputs.size() << " shard(s): "
             << merged->result.table.num_hosts() << " hosts, "
@@ -642,28 +473,19 @@ int CmdMerge(const Args& args) {
   if (out) {
     const Status status =
         WriteSnapshotFileAligned(*out, merged->result, merged->meta);
-    if (!status.ok()) {
-      std::cerr << status << "\n";
-      return 1;
-    }
+    if (!status.ok()) return Fail(status);
     std::cout << "wrote merged snapshot to " << *out << "\n";
   }
   if (artifacts) {
     const ArtifactStore store{*artifacts};
     const ArtifactKey key = ArtifactKey::FromMeta(merged->meta);
     const Status status = store.Store(key, merged->result);
-    if (!status.ok()) {
-      std::cerr << status << "\n";
-      return 1;
-    }
+    if (!status.ok()) return Fail(status);
     std::cout << "installed artifact " << store.PathFor(key) << "\n";
   }
   if (auto table_out = args.Get("table-out")) {
     const Status status = merged->result.table.WriteTsv(*table_out);
-    if (!status.ok()) {
-      std::cerr << status << "\n";
-      return 1;
-    }
+    if (!status.ok()) return Fail(status);
     std::cout << "wrote host table to " << *table_out << "\n";
   }
   return 0;
@@ -672,234 +494,104 @@ int CmdMerge(const Args& args) {
 // Runs every experiment and writes one TSV per figure/table into
 // --outdir, creating it (and any missing parents) first. The
 // single-command "reproduce the paper" entry point.
-int CmdPaper(const Args& args) {
+int CmdPaper(const Args& args, const StudyOptions& options) {
   const std::string outdir = args.GetOr("outdir", "paper_out");
   if (const Status made = EnsureDirectory(outdir); !made.ok()) {
-    std::cerr << made << "\n";
-    return 1;
+    return Fail(made);
   }
-  const StudyOptions options = OptionsFrom(args);
   Study study(options);
 
-  auto tsv_path = [&](const std::string& name) {
-    return outdir + "/" + name + ".tsv";
-  };
-  auto write = [&](const std::string& name,
-                   const std::vector<std::vector<std::string>>& rows)
-      -> Status {
-    CsvWriter writer('\t');
-    WSD_RETURN_IF_ERROR(writer.Open(tsv_path(name)));
-    for (const auto& row : rows) writer.WriteRow(row);
-    WSD_RETURN_IF_ERROR(writer.Close());
-    std::cout << "  wrote " << tsv_path(name) << "\n";
-    return Status::OK();
-  };
-
-  auto spread_rows = [](const CoverageCurve& curve) {
-    std::vector<std::vector<std::string>> rows;
-    std::vector<std::string> header = {"t"};
-    for (size_t k = 1; k <= curve.k_coverage.size(); ++k) {
-      header.push_back(StrFormat("k%zu", k));
+  // Each step names one output file and renders it from an analysis
+  // result. A failed analysis or write is reported against the file it
+  // was meant for and stops the run.
+  auto emit = [&](const std::string& name, const auto& result,
+                  auto render) {
+    const std::string path = outdir + "/" + name + ".tsv";
+    const Status status = result.ok() ? WriteStringToFile(path, render(*result))
+                                      : result.status();
+    if (!status.ok()) {
+      std::cerr << path << ": " << status << "\n";
+      return false;
     }
-    rows.push_back(header);
-    for (size_t i = 0; i < curve.t_values.size(); ++i) {
-      std::vector<std::string> row = {std::to_string(curve.t_values[i])};
-      for (const auto& series : curve.k_coverage) {
-        row.push_back(StrFormat("%.6f", series[i]));
-      }
-      rows.push_back(row);
-    }
-    return rows;
+    std::cout << "  wrote " << path << "\n";
+    return true;
+  };
+  const auto spread_tsv = [](const Study::SpreadResult& spread) {
+    return CoverageTsv(spread.curve);
   };
 
   // Figures 1-3.
-  struct SpreadJob {
-    const char* prefix;
-    Attribute attr;
-  };
-  auto run_spread =
-      [&](Domain d, Attribute a) -> StatusOr<Study::SpreadResult> {
-    auto scan = study.Scan(d, a);
-    if (!scan.ok()) return scan.status();
-    return study.RunSpread(*scan);
-  };
-  for (const SpreadJob& job :
-       {SpreadJob{"fig1_phone", Attribute::kPhone},
-        SpreadJob{"fig2_homepage", Attribute::kHomepage}}) {
+  for (const auto& [prefix, attr] :
+       {std::pair{"fig1_phone_", Attribute::kPhone},
+        std::pair{"fig2_homepage_", Attribute::kHomepage}}) {
     for (Domain domain : LocalBusinessDomains()) {
-      auto spread = run_spread(domain, job.attr);
-      if (!spread.ok()) {
-        std::cerr << spread.status() << "\n";
-        return 1;
-      }
-      std::string name = std::string(job.prefix) + "_" +
-                         ToLower(std::string(DomainName(domain)));
+      std::string name = prefix + ToLower(DomainName(domain));
       for (char& c : name) {
         if (!IsAlnum(c) && c != '_') c = '_';
       }
-      const Status status = write(name, spread_rows(spread->curve));
-      if (!status.ok()) {
-        std::cerr << status << "\n";
-        return 1;
-      }
+      if (!emit(name, Spread(study, domain, attr), spread_tsv)) return 1;
     }
   }
-  {
-    auto spread = run_spread(Domain::kBooks, Attribute::kIsbn);
-    if (!spread.ok() ||
-        !write("fig3_isbn_books", spread_rows(spread->curve)).ok()) {
-      return 1;
-    }
+  if (!emit("fig3_isbn_books", Spread(study, Domain::kBooks, Attribute::kIsbn),
+            spread_tsv)) {
+    return 1;
   }
-  // Figure 4.
-  {
-    auto scan = study.Scan(Domain::kRestaurants, Attribute::kReviews);
-    if (!scan.ok()) {
-      std::cerr << scan.status() << "\n";
-      return 1;
-    }
-    auto result = study.RunReviewSpread(*scan);
-    if (!result.ok()) {
-      std::cerr << result.status() << "\n";
-      return 1;
-    }
-    if (!write("fig4a_reviews_sites", spread_rows(result->site_curve))
-             .ok()) {
-      return 1;
-    }
-    std::vector<std::vector<std::string>> rows = {{"t", "page_fraction"}};
-    for (size_t i = 0; i < result->page_curve.t_values.size(); ++i) {
-      rows.push_back({std::to_string(result->page_curve.t_values[i]),
-                      StrFormat("%.6f", result->page_curve.page_fraction[i])});
-    }
-    if (!write("fig4b_reviews_pages", rows).ok()) return 1;
-  }
-  // Figure 5.
-  {
-    auto scan = study.Scan(Domain::kRestaurants, Attribute::kHomepage);
-    if (!scan.ok()) {
-      std::cerr << scan.status() << "\n";
-      return 1;
-    }
-    auto curve = study.RunSetCover(*scan);
-    if (!curve.ok()) {
-      std::cerr << curve.status() << "\n";
-      return 1;
-    }
-    std::vector<std::vector<std::string>> rows = {
-        {"t", "greedy", "by_size"}};
-    for (size_t i = 0; i < curve->t_values.size(); ++i) {
-      rows.push_back({std::to_string(curve->t_values[i]),
-                      StrFormat("%.6f", curve->greedy_coverage[i]),
-                      StrFormat("%.6f", curve->size_coverage[i])});
-    }
-    if (!write("fig5_setcover", rows).ok()) return 1;
+  // Figures 4 and 5.
+  const auto reviews = Reviews(study);
+  if (!emit("fig4a_reviews_sites", reviews,
+            [](const auto& r) { return CoverageTsv(r.site_curve); }) ||
+      !emit("fig4b_reviews_pages", reviews,
+            [](const auto& r) { return PageCoverageTsv(r.page_curve); }) ||
+      !emit("fig5_setcover",
+            SetCover(study, Domain::kRestaurants, Attribute::kHomepage),
+            SetCoverTsv)) {
+    return 1;
   }
   // Figures 6-8.
   for (TrafficSite site : {TrafficSite::kAmazon, TrafficSite::kYelp,
                            TrafficSite::kImdb}) {
-    auto result = study.RunValueStudy(site);
-    if (!result.ok()) {
-      std::cerr << result.status() << "\n";
+    const auto value = study.RunValueStudy(site);
+    const std::string lower = ToLower(TrafficSiteName(site));
+    if (!emit("fig6_demand_" + lower, value,
+              [](const auto& v) {
+                return DemandCurveTsv(v.search_curve, v.browse_curve);
+              }) ||
+        !emit("fig7_fig8_value_" + lower, value,
+              [](const auto& v) { return ValueBinsTsv(v.bins); })) {
       return 1;
     }
-    const std::string lower = ToLower(std::string(TrafficSiteName(site)));
-    std::vector<std::vector<std::string>> cumulative = {
-        {"inventory_fraction", "search", "browse"}};
-    for (size_t i = 0; i < result->search_curve.size(); ++i) {
-      cumulative.push_back(
-          {StrFormat("%.4f", result->search_curve[i].inventory_fraction),
-           StrFormat("%.6f", result->search_curve[i].demand_fraction),
-           StrFormat("%.6f", result->browse_curve[i].demand_fraction)});
-    }
-    if (!write("fig6_demand_" + lower, cumulative).ok()) return 1;
-    std::vector<std::vector<std::string>> bins = {
-        {"bin", "entities", "search_z", "browse_z", "rel_va_search",
-         "rel_va_browse"}};
-    for (const auto& bin : result->bins) {
-      bins.push_back({bin.label, std::to_string(bin.num_entities),
-                      StrFormat("%.6f", bin.mean_search_z),
-                      StrFormat("%.6f", bin.mean_browse_z),
-                      StrFormat("%.6f", bin.rel_va_search),
-                      StrFormat("%.6f", bin.rel_va_browse)});
-    }
-    if (!write("fig7_fig8_value_" + lower, bins).ok()) return 1;
   }
-  // Table 2 + Figure 9.
-  {
-    std::vector<std::vector<std::string>> rows = {
-        {"domain", "attr", "avg_sites_per_entity", "diameter",
-         "components", "largest_pct"}};
-    std::vector<std::vector<std::string>> robustness = {
-        {"domain", "attr", "removed", "largest_fraction"}};
-    auto add = [&](Domain d, Attribute a) -> bool {
-      auto scan = study.Scan(d, a);
-      if (!scan.ok()) {
-        std::cerr << scan.status() << "\n";
-        return false;
-      }
-      auto row = study.RunGraphMetrics(*scan);
-      if (!row.ok()) {
-        std::cerr << row.status() << "\n";
-        return false;
-      }
-      rows.push_back({std::string(DomainName(d)),
-                      std::string(AttributeName(a)),
-                      StrFormat("%.2f", row->avg_sites_per_entity),
-                      std::to_string(row->diameter),
-                      std::to_string(row->num_components),
-                      StrFormat("%.4f", row->largest_component_entity_pct)});
-      auto sweep = study.RunRobustness(*scan, 10);
-      if (!sweep.ok()) {
-        std::cerr << sweep.status() << "\n";
-        return false;
-      }
-      for (const auto& point : *sweep) {
-        robustness.push_back(
-            {std::string(DomainName(d)), std::string(AttributeName(a)),
-             std::to_string(point.removed_sites),
-             StrFormat("%.6f", point.largest_component_entity_fraction)});
-      }
-      return true;
-    };
-    if (!add(Domain::kBooks, Attribute::kIsbn)) return 1;
-    for (Domain d : LocalBusinessDomains()) {
-      if (!add(d, Attribute::kPhone)) return 1;
-    }
-    for (Domain d : LocalBusinessDomains()) {
-      if (!add(d, Attribute::kHomepage)) return 1;
-    }
-    if (!write("table2_graphs", rows).ok()) return 1;
-    if (!write("fig9_robustness", robustness).ok()) return 1;
+  // Table 2 and Figure 9.
+  const Graphs graphs = Table2Graphs();
+  if (!emit("table2_graphs", GraphRows(study, graphs),
+            [](const auto& rows) { return GraphMetricsTsv(rows); }) ||
+      !emit("fig9_robustness", RobustnessSweeps(study, graphs),
+            [](const auto& sweeps) { return RobustnessTsv(sweeps); })) {
+    return 1;
   }
   std::cout << "done: all figures/tables written under " << outdir << "\n";
   return 0;
 }
 
-int RunCommand(const std::string& command, const Args& args);
+int RunCommand(const std::string& command, const Args& args,
+               const StudyOptions& options);
 
 // Observability entry point: `wsdctl metrics [command ...]` runs the
 // nested command (any other subcommand, flags shared) — or, with no
 // nested command, a default cache scan honoring --domain/--attr — then
 // prints the populated metrics registry to stdout. --format=json selects
 // the JSON exporter over the Prometheus text default.
-int CmdMetrics(const Args& args) {
+int CmdMetrics(const Args& args, const StudyOptions& options) {
   int rc = 0;
   if (args.positional().size() > 1 && args.positional()[1] != "metrics") {
-    rc = RunCommand(args.positional()[1], args);
+    rc = RunCommand(args.positional()[1], args, options);
   } else {
-    const auto domain = ParseDomain(args.GetOr("domain", "restaurants"));
-    const auto attr = ParseAttribute(args.GetOr("attr", "phone"));
-    if (!domain || !attr) {
-      std::cerr << "unknown --domain or --attr\n";
-      return 2;
-    }
-    Study study(OptionsFrom(args));
-    auto scan = study.RunScan(*domain, *attr);
-    if (!scan.ok()) {
-      std::cerr << scan.status() << "\n";
-      return 1;
-    }
+    Domain domain;
+    Attribute attr;
+    if (!ParseDomainAttr(args, "phone", &domain, &attr)) return 2;
+    Study study(options);
+    auto scan = study.RunScan(domain, attr);
+    if (!scan.ok()) return Fail(scan.status());
     std::cout << "scanned " << scan->stats.pages_scanned << " pages across "
               << scan->stats.hosts_scanned << " hosts in "
               << FormatF(scan->stats.wall_seconds, 2) << "s\n\n";
@@ -942,27 +634,27 @@ int CmdHelp() {
       "              --artifacts=DIR  (cache scans as on-disk snapshots;\n"
       "               reruns with the same options skip the scan)\n"
       "              --metrics_out=f.json  (dump registry after any run)\n"
-      "domains: books restaurants automotive banks libraries schools "
-      "hotels retail home\n"
-      "attributes: " << AttributeVocabulary() << "\n";
+      "domains: " << DomainVocabulary(" ") << "\n"
+      "attributes: " << AttributeVocabulary(" ") << "\n";
   return 0;
 }
 
-int RunCommand(const std::string& command, const Args& args) {
+int RunCommand(const std::string& command, const Args& args,
+               const StudyOptions& options) {
   if (command == "domains") return CmdDomains(args);
-  if (command == "spread") return CmdSpread(args);
-  if (command == "reviews") return CmdReviews(args);
-  if (command == "setcover") return CmdSetCover(args);
-  if (command == "graph") return CmdGraph(args);
-  if (command == "robustness") return CmdRobustness(args);
-  if (command == "value") return CmdValue(args);
-  if (command == "bootstrap") return CmdBootstrap(args);
-  if (command == "gen-cache") return CmdGenCache(args);
-  if (command == "scan-cache") return CmdScanCache(args);
-  if (command == "scan") return CmdScan(args);
+  if (command == "spread") return CmdSpread(args, options);
+  if (command == "reviews") return CmdReviews(args, options);
+  if (command == "setcover") return CmdSetCover(args, options);
+  if (command == "graph") return CmdGraph(args, options);
+  if (command == "robustness") return CmdRobustness(args, options);
+  if (command == "value") return CmdValue(args, options);
+  if (command == "bootstrap") return CmdBootstrap(args, options);
+  if (command == "gen-cache") return CmdGenCache(args, options);
+  if (command == "scan-cache") return CmdScanCache(args, options);
+  if (command == "scan") return CmdScan(args, options);
   if (command == "merge") return CmdMerge(args);
-  if (command == "paper") return CmdPaper(args);
-  if (command == "metrics") return CmdMetrics(args);
+  if (command == "paper") return CmdPaper(args, options);
+  if (command == "metrics") return CmdMetrics(args, options);
   if (command == "help" || command == "--help") return CmdHelp();
   std::cerr << "unknown command '" << command << "'; see wsdctl help\n";
   return 2;
@@ -971,7 +663,12 @@ int RunCommand(const std::string& command, const Args& args) {
 int Main(int argc, char** argv) {
   const Args args(argc, argv);
   if (args.positional().empty()) return CmdHelp();
-  const int rc = RunCommand(args.positional()[0], args);
+  const auto options = StudyOptions::FromFlags(args);
+  if (!options.ok()) {
+    std::cerr << options.status() << "\n";
+    return 2;
+  }
+  const int rc = RunCommand(args.positional()[0], args, *options);
   // --metrics_out works for every command: after the run, persist the
   // registry as machine-readable JSON.
   if (auto out = args.Get("metrics_out")) {
