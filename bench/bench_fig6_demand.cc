@@ -16,18 +16,13 @@ int main(int argc, char** argv) {
                      "Fig 6(a)-(d), §4.2", options);
 
   Study study(options);
-  const TrafficSite sites[] = {TrafficSite::kAmazon, TrafficSite::kYelp,
-                               TrafficSite::kImdb};
-  std::vector<Study::ValueStudyResult> results;
-  for (TrafficSite site : sites) {
-    auto result = study.RunValueStudy(site);
-    if (!result.ok()) {
-      std::cerr << "value study failed for " << TrafficSiteName(site)
-                << ": " << result.status() << "\n";
-      return 1;
-    }
-    results.push_back(std::move(result).value());
+  auto batch = study.RunValueStudies(
+      {TrafficSite::kAmazon, TrafficSite::kYelp, TrafficSite::kImdb});
+  if (!batch.ok()) {
+    std::cerr << "value study failed: " << batch.status() << "\n";
+    return 1;
   }
+  const std::vector<Study::ValueStudyResult>& results = *batch;
 
   for (int channel = 0; channel < 2; ++channel) {
     const bool search = channel == 0;

@@ -15,23 +15,23 @@ int main(int argc, char** argv) {
                      "Fig 7, §4.3.2", options);
 
   Study study(options);
-  const TrafficSite sites[] = {TrafficSite::kAmazon, TrafficSite::kYelp,
-                               TrafficSite::kImdb};
-  for (TrafficSite site : sites) {
-    auto result = study.RunValueStudy(site);
-    if (!result.ok()) {
-      std::cerr << "value study failed: " << result.status() << "\n";
-      return 1;
-    }
+  auto results = study.RunValueStudies(
+      {TrafficSite::kAmazon, TrafficSite::kYelp, TrafficSite::kImdb});
+  if (!results.ok()) {
+    std::cerr << "value study failed: " << results.status() << "\n";
+    return 1;
+  }
+  for (const Study::ValueStudyResult& result : *results) {
+    const TrafficSite site = result.site;
     PrintValueAddBins(
         StrFormat("Fig 7: %s - demand (z-score) by review-count bin",
                   std::string(TrafficSiteName(site)).c_str()),
-        result->bins, std::cout);
+        result.bins, std::cout);
     // The Fig 7 claim: strictly more demand for entities with more
     // reviews.
     double prev = -1e9;
     bool monotone = true;
-    for (const auto& bin : result->bins) {
+    for (const auto& bin : result.bins) {
       if (bin.num_entities == 0) continue;
       if (bin.mean_search_z < prev - 0.05) monotone = false;
       prev = bin.mean_search_z;

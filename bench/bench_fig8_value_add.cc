@@ -17,22 +17,22 @@ int main(int argc, char** argv) {
                      "Fig 8, §4.3", options);
 
   Study study(options);
-  const TrafficSite sites[] = {TrafficSite::kAmazon, TrafficSite::kYelp,
-                               TrafficSite::kImdb};
-  for (TrafficSite site : sites) {
-    auto result = study.RunValueStudy(site);
-    if (!result.ok()) {
-      std::cerr << "value study failed: " << result.status() << "\n";
-      return 1;
-    }
+  auto results = study.RunValueStudies(
+      {TrafficSite::kAmazon, TrafficSite::kYelp, TrafficSite::kImdb});
+  if (!results.ok()) {
+    std::cerr << "value study failed: " << results.status() << "\n";
+    return 1;
+  }
+  for (const Study::ValueStudyResult& result : *results) {
+    const TrafficSite site = result.site;
     PrintValueAddBins(
         StrFormat("Fig 8: %s - VA(n)/VA(0) by review-count bin",
                   std::string(TrafficSiteName(site)).c_str()),
-        result->bins, std::cout);
+        result.bins, std::cout);
 
     // Shape anchors: the first and last occupied bins beyond bin 0.
     std::vector<std::pair<std::string, double>> occupied;
-    for (const auto& bin : result->bins) {
+    for (const auto& bin : result.bins) {
       if (bin.num_entities >= 10) {
         occupied.emplace_back(bin.label, bin.rel_va_search);
       }
@@ -63,15 +63,11 @@ int main(int argc, char** argv) {
   // reviews"). The paper: "these alternative choices would estimate even
   // higher value-add of extracting a new review for tail entities."
   {
-    auto yelp = study.RunValueStudy(TrafficSite::kYelp);
-    if (!yelp.ok()) {
-      std::cerr << yelp.status() << "\n";
-      return 1;
-    }
+    const Study::ValueStudyResult& yelp = (*results)[1];  // Yelp
     ValueAddOptions step;
     step.decay = ValueAddOptions::InfoDecay::kStepAtCutoff;
     auto step_bins =
-        AnalyzeValueAddWithOptions(yelp->demand, yelp->reviews, step);
+        AnalyzeValueAddWithOptions(yelp.demand, yelp.reviews, step);
     if (!step_bins.ok()) {
       std::cerr << step_bins.status() << "\n";
       return 1;
@@ -82,7 +78,7 @@ int main(int argc, char** argv) {
                      "VA(n)/VA(0) step@10"});
     for (size_t i = 0; i < step_bins->size(); ++i) {
       table.AddRow({(*step_bins)[i].label,
-                    FormatF(yelp->bins[i].rel_va_search, 3),
+                    FormatF(yelp.bins[i].rel_va_search, 3),
                     FormatF((*step_bins)[i].rel_va_search, 3)});
     }
     table.Print(std::cout);
@@ -90,7 +86,7 @@ int main(int argc, char** argv) {
     // tail value rises — the paper's §4.3.1 remark.
     double head_linear = 0, head_step = 0;
     for (size_t i = 4; i < step_bins->size(); ++i) {  // n >= 15
-      head_linear += yelp->bins[i].rel_va_search;
+      head_linear += yelp.bins[i].rel_va_search;
       head_step += (*step_bins)[i].rel_va_search;
     }
     std::cout << "\n";

@@ -1,12 +1,13 @@
 // Micro-benchmarks for the analysis layer: the O(E+N) k-coverage sweep,
 // the lazy-greedy set cover (vs. the naive re-scoring greedy ablation),
-// and the robustness sweep.
+// the robustness sweep, and the batched §4 value studies.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
 
 #include <queue>
+#include <vector>
 
 #include "core/coverage.h"
 #include "core/set_cover.h"
@@ -102,6 +103,35 @@ void BM_RobustnessSweep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RobustnessSweep);
+
+// The three value studies as one RunValueStudies batch (one pool task per
+// (site, channel)) at small scale: range(0) = threads. Wall time, since
+// the main thread mostly waits on the pool.
+void BM_ValueStudies(benchmark::State& state) {
+  StudyOptions options;
+  options.scale = 0.02;
+  options.seed = 77;
+  options.threads = static_cast<uint32_t>(state.range(0));
+  Study study(options);
+  const std::vector<TrafficSite> sites = {
+      TrafficSite::kAmazon, TrafficSite::kYelp, TrafficSite::kImdb};
+  uint64_t events = 0;
+  for (auto _ : state) {
+    auto results = study.RunValueStudies(sites);
+    if (!results.ok()) {
+      state.SkipWithError("value study failed");
+      break;
+    }
+    events = 0;
+    for (const auto& result : *results) {
+      events += result.demand.events_consumed;
+    }
+    benchmark::DoNotOptimize(results);
+  }
+  state.counters["events"] = static_cast<double>(events);
+  state.counters["threads"] = static_cast<double>(state.range(0));
+}
+BENCHMARK(BM_ValueStudies)->Arg(1)->Arg(4)->UseRealTime();
 
 }  // namespace
 

@@ -109,6 +109,8 @@ StatusOr<SyntheticWeb> Study::BuildWeb(Domain domain, Attribute attr) const {
         std::string(AttributeName(attr)) + " does not apply to domain " +
         std::string(DomainName(domain)));
   }
+  const ScopedTimer build_timer(
+      MetricsRegistry::Global().GetHistogram("wsd.corpus.build_seconds"));
   SyntheticWeb::Config config;
   config.domain = domain;
   config.attr = attr;
@@ -238,36 +240,66 @@ StatusOr<std::vector<RobustnessPoint>> Study::RunRobustness(
 }
 
 StatusOr<Study::ValueStudyResult> Study::RunValueStudy(TrafficSite site) {
+  auto results = RunValueStudies({site});
+  if (!results.ok()) return results.status();
+  return std::move(results->front());
+}
+
+StatusOr<std::vector<Study::ValueStudyResult>> Study::RunValueStudies(
+    const std::vector<TrafficSite>& sites) {
   const ScopedTimer phase_timer(
       MetricsRegistry::Global().GetHistogram("wsd.core.value_study_seconds"));
-  TrafficSiteParams params = DefaultTrafficParams(site);
-  params.num_entities = std::max<uint32_t>(
-      256, static_cast<uint32_t>(static_cast<double>(params.num_entities) *
-                                 options_.scale));
-  const SitePopulation population =
-      BuildPopulation(params, options_.seed ^ 0x7eaf1cULL);
+  std::vector<SitePopulation> populations;
+  populations.reserve(sites.size());
+  for (TrafficSite site : sites) {
+    TrafficSiteParams params = DefaultTrafficParams(site);
+    params.num_entities = std::max<uint32_t>(
+        256, static_cast<uint32_t>(static_cast<double>(params.num_entities) *
+                                   options_.scale));
+    populations.push_back(
+        BuildPopulation(params, options_.seed ^ 0x7eaf1cULL));
+  }
 
-  const TrafficLogOptions log_options;
-  const TrafficLogGenerator generator(population, log_options,
-                                      options_.seed ^ 0x10656e1ULL);
-  DemandEstimator estimator(site, params.num_entities);
-  generator.Generate(TrafficChannel::kSearch,
-                     [&](const VisitEvent& e) { estimator.Consume(e); });
-  generator.Generate(TrafficChannel::kBrowse,
-                     [&](const VisitEvent& e) { estimator.Consume(e); });
+  // One task per (site, channel): task 2i counts site i's search log,
+  // task 2i + 1 its browse log.
+  constexpr TrafficChannel kChannels[] = {TrafficChannel::kSearch,
+                                          TrafficChannel::kBrowse};
+  std::vector<StatusOr<DemandTable>> tables(
+      2 * sites.size(), Status::Internal("value study task did not run"));
+  for (size_t task = 0; task < tables.size(); ++task) {
+    pool_->Submit([&, task] {
+      const SitePopulation& population = populations[task / 2];
+      const TrafficChannel channel = kChannels[task % 2];
+      const TrafficLogGenerator generator(population, TrafficLogOptions{},
+                                          options_.seed ^ 0x10656e1ULL);
+      StreamingDemandCounter counter(population.params.site, channel,
+                                     population.params.num_entities);
+      generator.Generate(channel,
+                         [&](const VisitEvent& e) { counter.Consume(e); });
+      tables[task] = counter.Finish();
+    });
+  }
+  pool_->Wait();
 
-  ValueStudyResult result;
-  result.site = site;
-  result.demand = estimator.Finalize();
-  result.reviews = population.reviews;
-  auto bins = AnalyzeValueAdd(result.demand, result.reviews);
-  if (!bins.ok()) return bins.status();
-  result.bins = std::move(bins).value();
-  result.search_curve = CumulativeDemandCurve(result.demand.search_demand);
-  result.browse_curve = CumulativeDemandCurve(result.demand.browse_demand);
-  result.head20_search = HeadDemandShare(result.demand.search_demand, 0.2);
-  result.head20_browse = HeadDemandShare(result.demand.browse_demand, 0.2);
-  return result;
+  std::vector<ValueStudyResult> results(sites.size());
+  for (size_t i = 0; i < sites.size(); ++i) {
+    for (size_t task : {2 * i, 2 * i + 1}) {
+      if (!tables[task].ok()) return tables[task].status();
+    }
+    ValueStudyResult& result = results[i];
+    result.site = sites[i];
+    result.demand = MergeChannelTables(std::move(tables[2 * i]).value(),
+                                       std::move(tables[2 * i + 1]).value());
+    result.reviews = std::move(populations[i].reviews);
+    auto bins = AnalyzeValueAdd(result.demand, result.reviews);
+    if (!bins.ok()) return bins.status();
+    result.bins = std::move(bins).value();
+    result.search_curve = CumulativeDemandCurve(result.demand.search_demand);
+    result.browse_curve = CumulativeDemandCurve(result.demand.browse_demand);
+    result.head20_search = HeadDemandShare(result.demand.search_demand, 0.2);
+    result.head20_browse = HeadDemandShare(result.demand.browse_demand, 0.2);
+  }
+  return results;
 }
 
 }  // namespace wsd

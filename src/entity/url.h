@@ -24,6 +24,28 @@ struct Url {
 /// (relative refs, other schemes, empty host).
 std::optional<Url> ParseUrl(std::string_view raw);
 
+/// All parts of a parsed URL as views into the (trimmed) input: the
+/// single allocation-free parser behind ParseUrl, CanonicalizeHomepageInto,
+/// ParseHostInto and the traffic layer's ParseEntityUrl. `scheme` and
+/// `host` are raw (not lower-cased); `path` and `query` may be empty
+/// (ParseUrl defaults path to "/").
+struct UrlView {
+  std::string_view scheme;
+  std::string_view host;
+  std::string_view path;
+  std::string_view query;
+  int port = -1;
+};
+
+/// Fills *out with views into `raw`. Returns false exactly when ParseUrl
+/// would return nullopt.
+bool ParseUrlView(std::string_view raw, UrlView* out);
+
+/// NormalizeHost over views: trims, drops one leading "www." label (any
+/// case) and a trailing dot, but does not lower-case. Compare the result
+/// with EqualsIgnoreCase, or lower-case it while copying.
+std::string_view NormalizeHostView(std::string_view host);
+
 /// Lower-cases and strips a single leading "www." label. This is the host
 /// key used to group pages into "websites" throughout the study (the paper
 /// aggregates pages by host).

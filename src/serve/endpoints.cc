@@ -241,7 +241,11 @@ void HandleDemand(ServeContext& ctx, const HttpRequest& req,
     if (it != ctx.demand_memo.end()) result = it->second;
   }
   if (result == nullptr) {
-    options.threads = 1;  // value studies are single-threaded anyway
+    // One thread: a miss builds a throwaway Study, and its pool, on the
+    // connection worker that serves the request. A wider pool would
+    // multiply the threads of every concurrent miss, while the result is
+    // memoized and its bytes do not depend on the thread count.
+    options.threads = 1;
     Study study(options);
     auto computed = study.RunValueStudy(*site);
     if (!computed.ok()) {

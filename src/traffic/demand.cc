@@ -1,6 +1,10 @@
 #include "traffic/demand.h"
 
 #include <algorithm>
+#include <utility>
+
+#include "util/logging.h"
+#include "util/string_util.h"
 
 namespace wsd {
 
@@ -50,6 +54,82 @@ DemandTable DemandEstimator::Finalize() {
   dedupe_count(search_keys_, table.search_demand);
   dedupe_count(browse_keys_, table.browse_demand);
   return table;
+}
+
+StreamingDemandCounter::StreamingDemandCounter(TrafficSite site,
+                                               TrafficChannel channel,
+                                               uint32_t num_entities)
+    : site_(site), channel_(channel), demand_(num_entities, 0.0) {}
+
+void StreamingDemandCounter::Consume(const VisitEvent& event) {
+  ++consumed_;
+  if (event.channel != channel_) {
+    FailOnce("event of the other channel in a single-channel stream");
+    return;
+  }
+  const auto key = ParseEntityUrl(event.url);
+  if (!key.has_value() || key->site != site_ ||
+      key->entity_index >= demand_.size()) {
+    ++skipped_;
+    return;
+  }
+  const uint32_t entity = key->entity_index;
+  if (entity != run_entity_) {
+    CountRun();
+    // A counted run has at least one cookie, so nonzero demand means this
+    // entity's run already ended: the stream is not grouped by entity.
+    if (demand_[entity] != 0.0) {
+      FailOnce(StrFormat("entity %u reappears after its run was counted",
+                         entity));
+    }
+    run_entity_ = entity;
+  }
+  run_.emplace_back(event.cookie, channel_ == TrafficChannel::kSearch
+                                     ? event.month
+                                     : uint8_t{0});
+}
+
+void StreamingDemandCounter::CountRun() {
+  if (run_.empty()) return;
+  std::sort(run_.begin(), run_.end());
+  const auto unique_end = std::unique(run_.begin(), run_.end());
+  demand_[run_entity_] += static_cast<double>(unique_end - run_.begin());
+  run_.clear();
+}
+
+void StreamingDemandCounter::FailOnce(std::string message) {
+  if (!status_.ok()) return;
+  status_ = Status::FailedPrecondition(
+      StrFormat("%s %s demand: ", std::string(TrafficSiteName(site_)).c_str(),
+                channel_ == TrafficChannel::kSearch ? "search" : "browse") +
+      message);
+}
+
+StatusOr<DemandTable> StreamingDemandCounter::Finish() {
+  CountRun();
+  if (!status_.ok()) return status_;
+  DemandTable table;
+  table.site = site_;
+  table.events_consumed = consumed_;
+  table.events_skipped = skipped_;
+  std::vector<double> zeros(demand_.size(), 0.0);
+  if (channel_ == TrafficChannel::kSearch) {
+    table.search_demand = std::move(demand_);
+    table.browse_demand = std::move(zeros);
+  } else {
+    table.search_demand = std::move(zeros);
+    table.browse_demand = std::move(demand_);
+  }
+  return table;
+}
+
+DemandTable MergeChannelTables(DemandTable search, DemandTable browse) {
+  WSD_CHECK(search.site == browse.site);
+  WSD_CHECK(search.search_demand.size() == browse.browse_demand.size());
+  search.browse_demand = std::move(browse.browse_demand);
+  search.events_consumed += browse.events_consumed;
+  search.events_skipped += browse.events_skipped;
+  return search;
 }
 
 }  // namespace wsd

@@ -1,36 +1,48 @@
 #include "traffic/traffic_log.h"
 
-#include <algorithm>
+#include <cstdio>
 
 #include "util/hash.h"
-#include "util/string_util.h"
 
 namespace wsd {
 
 namespace {
 
-// Noise URLs that must be skipped by the demand estimator: same hosts,
-// non-entity paths.
-std::string NoiseUrl(TrafficSite site, Rng& rng) {
+// Appends a noise URL that the demand estimator must skip: same hosts,
+// non-entity paths. Draws from `rng` exactly as the generator always has.
+void AppendNoiseUrl(TrafficSite site, Rng& rng, std::string* out) {
+  char digits[24];
   switch (site) {
     case TrafficSite::kAmazon:
-      return rng.Bernoulli(0.5)
-                 ? "http://www.amazon.com/gp/help/customer/display.html"
-                 : StrFormat("http://www.amazon.com/s?k=query%llu",
-                             (unsigned long long)rng.Uniform(100000));
+      if (rng.Bernoulli(0.5)) {
+        out->append("http://www.amazon.com/gp/help/customer/display.html");
+      } else {
+        std::snprintf(digits, sizeof(digits), "%llu",
+                      (unsigned long long)rng.Uniform(100000));
+        out->append("http://www.amazon.com/s?k=query");
+        out->append(digits);
+      }
+      return;
     case TrafficSite::kYelp:
-      return rng.Bernoulli(0.5)
-                 ? "http://www.yelp.com/search?find_desc=pizza"
-                 : "http://www.yelp.com/events";
+      out->append(rng.Bernoulli(0.5)
+                      ? "http://www.yelp.com/search?find_desc=pizza"
+                      : "http://www.yelp.com/events");
+      return;
     case TrafficSite::kImdb:
-      return rng.Bernoulli(0.5)
-                 ? "http://www.imdb.com/chart/top"
-                 : StrFormat("http://www.imdb.com/name/nm%07llu/",
-                             (unsigned long long)rng.Uniform(9999999));
+      if (rng.Bernoulli(0.5)) {
+        out->append("http://www.imdb.com/chart/top");
+      } else {
+        std::snprintf(digits, sizeof(digits), "%07llu",
+                      (unsigned long long)rng.Uniform(9999999));
+        out->append("http://www.imdb.com/name/nm");
+        out->append(digits);
+        out->push_back('/');
+      }
+      return;
     case TrafficSite::kNumSites:
       break;
   }
-  return "http://example.com/";
+  out->append("http://example.com/");
 }
 
 }  // namespace
@@ -71,13 +83,16 @@ void TrafficLogGenerator::Generate(
         event.month = channel == TrafficChannel::kSearch
                           ? first_month
                           : static_cast<uint8_t>(rng.Uniform(12));
-        event.url = EntityUrl(site, entity,
-                              static_cast<uint32_t>(rng.Uniform(2)));
+        event.url.clear();
+        AppendEntityUrl(site, entity, static_cast<uint32_t>(rng.Uniform(2)),
+                        &event.url);
         sink(event);
         if (rng.Bernoulli(options_.noise_url_fraction)) {
-          VisitEvent noise = event;
-          noise.url = NoiseUrl(site, rng);
-          sink(noise);
+          // The noise click keeps the visit's cookie and month; only the
+          // URL changes, rendered into the same buffer.
+          event.url.clear();
+          AppendNoiseUrl(site, rng, &event.url);
+          sink(event);
         }
       }
     }

@@ -40,16 +40,18 @@ struct TrafficLogOptions {
 /// Streams one year of synthetic visit events for a site population.
 /// Event counts per entity are Poisson with the population's latent
 /// intensity (popularity for search, browse_intensity for browse), split
-/// across 12 months. Deterministic in `seed`; events arrive grouped by
-/// entity (the estimator must not rely on any global order, and tests
-/// shuffle them).
+/// across 12 months. Deterministic in `seed`. Within a channel, each
+/// entity's events (noise clicks aside) arrive as one contiguous run in
+/// entity order: StreamingDemandCounter relies on that, while the
+/// reference DemandEstimator accepts any order (tests shuffle).
 class TrafficLogGenerator {
  public:
   TrafficLogGenerator(const SitePopulation& population,
                       const TrafficLogOptions& options, uint64_t seed)
       : population_(population), options_(options), seed_(seed) {}
 
-  /// Emits every event of `channel` into `sink`.
+  /// Emits every event of `channel` into `sink`. The event passed to
+  /// `sink` is one reused object; copy it to keep it past the call.
   void Generate(TrafficChannel channel,
                 const std::function<void(const VisitEvent&)>& sink) const;
 

@@ -39,6 +39,40 @@ std::string_view SegmentAfter(std::string_view path, std::string_view prefix) {
   return slash == std::string_view::npos ? rest : rest.substr(0, slash);
 }
 
+// Appends `value` in decimal, zero-padded to at least `width` digits:
+// printf's "%0<width>u" without its per-call cost.
+void AppendZeroPadded(uint32_t value, int width, std::string* out) {
+  char digits[10];
+  int n = 0;
+  do {
+    digits[n++] = static_cast<char>('0' + value % 10);
+    value /= 10;
+  } while (value != 0);
+  for (int i = n; i < width; ++i) out->push_back('0');
+  while (n > 0) out->push_back(digits[--n]);
+}
+
+// Appends the key: "B%09u", "biz-%06u" or "tt%07u".
+void AppendEntityKey(TrafficSite site, uint32_t entity_index,
+                     std::string* out) {
+  switch (site) {
+    case TrafficSite::kAmazon:
+      out->push_back('B');
+      AppendZeroPadded(entity_index, 9, out);
+      return;
+    case TrafficSite::kYelp:
+      out->append("biz-");
+      AppendZeroPadded(entity_index, 6, out);
+      return;
+    case TrafficSite::kImdb:
+      out->append("tt");
+      AppendZeroPadded(entity_index, 7, out);
+      return;
+    case TrafficSite::kNumSites:
+      return;
+  }
+}
+
 }  // namespace
 
 std::string_view TrafficSiteName(TrafficSite site) {
@@ -63,46 +97,43 @@ std::optional<TrafficSite> ParseTrafficSite(std::string_view name) {
   return std::nullopt;
 }
 
-std::string EntityKeyString(TrafficSite site, uint32_t entity_index) {
-  switch (site) {
-    case TrafficSite::kAmazon:
-      return StrFormat("B%09u", entity_index);
-    case TrafficSite::kYelp:
-      return StrFormat("biz-%06u", entity_index);
-    case TrafficSite::kImdb:
-      return StrFormat("tt%07u", entity_index);
-    case TrafficSite::kNumSites:
-      break;
-  }
-  return {};
-}
-
 std::string EntityUrl(TrafficSite site, uint32_t entity_index,
                       uint32_t variant) {
-  const std::string key = EntityKeyString(site, entity_index);
+  std::string url;
+  AppendEntityUrl(site, entity_index, variant, &url);
+  return url;
+}
+
+void AppendEntityUrl(TrafficSite site, uint32_t entity_index,
+                     uint32_t variant, std::string* out) {
   switch (site) {
     case TrafficSite::kAmazon:
-      if (variant % 2 == 0) {
-        return "http://www.amazon.com/gp/product/" + key;
-      }
-      return "http://www.amazon.com/some-product-title/dp/" + key;
+      out->append(variant % 2 == 0
+                      ? "http://www.amazon.com/gp/product/"
+                      : "http://www.amazon.com/some-product-title/dp/");
+      AppendEntityKey(site, entity_index, out);
+      return;
     case TrafficSite::kYelp:
-      return "http://www.yelp.com/biz/" + key;
+      out->append("http://www.yelp.com/biz/");
+      AppendEntityKey(site, entity_index, out);
+      return;
     case TrafficSite::kImdb:
-      return "http://www.imdb.com/title/" + key + "/";
+      out->append("http://www.imdb.com/title/");
+      AppendEntityKey(site, entity_index, out);
+      out->push_back('/');
+      return;
     case TrafficSite::kNumSites:
-      break;
+      return;
   }
-  return {};
 }
 
 std::optional<EntityUrlKey> ParseEntityUrl(std::string_view url) {
-  auto parsed = ParseUrl(url);
-  if (!parsed.has_value()) return std::nullopt;
-  const std::string host = NormalizeHost(parsed->host);
-  const std::string& path = parsed->path;
+  UrlView parsed;
+  if (!ParseUrlView(url, &parsed)) return std::nullopt;
+  const std::string_view host = NormalizeHostView(parsed.host);
+  const std::string_view path = parsed.path;
 
-  if (host == "amazon.com") {
+  if (EqualsIgnoreCase(host, "amazon.com")) {
     // amazon.com/gp/product/[ID] or amazon.com/*/dp/[ID].
     std::string_view key = SegmentAfter(path, "/gp/product/");
     if (key.empty()) key = SegmentAfter(path, "/dp/");
@@ -111,14 +142,14 @@ std::optional<EntityUrlKey> ParseEntityUrl(std::string_view url) {
     if (!idx) return std::nullopt;
     return EntityUrlKey{TrafficSite::kAmazon, *idx};
   }
-  if (host == "yelp.com") {
+  if (EqualsIgnoreCase(host, "yelp.com")) {
     const std::string_view key = SegmentAfter(path, "/biz/");
     if (key.empty()) return std::nullopt;
     auto idx = ParseYelpSlug(key);
     if (!idx) return std::nullopt;
     return EntityUrlKey{TrafficSite::kYelp, *idx};
   }
-  if (host == "imdb.com") {
+  if (EqualsIgnoreCase(host, "imdb.com")) {
     const std::string_view key = SegmentAfter(path, "/title/");
     if (key.empty()) return std::nullopt;
     auto idx = ParseImdbTitle(key);

@@ -28,20 +28,26 @@ struct EntityUrlKey {
   uint32_t entity_index = 0;
 };
 
-/// Canonical entity key strings, mirroring each site's real scheme:
-/// Amazon: 10-character ASIN-like id ("B%09u"); Yelp: business slug
-/// ("biz-%06u"); IMDb: 7-digit title number.
-std::string EntityKeyString(TrafficSite site, uint32_t entity_index);
-
-/// Builds a visitable URL for the entity. Amazon entities alternate
-/// between the /gp/product/ and /*/dp/ forms (both occur in real logs and
-/// both must parse; `variant` selects the form).
+/// Builds a visitable URL for the entity. Its key mirrors each site's
+/// real scheme: Amazon a 10-character ASIN-like id ("B%09u"), Yelp a
+/// business slug ("biz-%06u"), IMDb a 7-digit title number ("tt%07u").
+/// Amazon entities alternate between the /gp/product/ and /*/dp/ forms
+/// (both occur in real logs and both must parse; `variant` selects the
+/// form).
 std::string EntityUrl(TrafficSite site, uint32_t entity_index,
                       uint32_t variant = 0);
 
+/// Appends EntityUrl(site, entity_index, variant) to *out. Allocates only
+/// when *out must grow: the traffic generator renders every event's URL
+/// into one reused buffer.
+void AppendEntityUrl(TrafficSite site, uint32_t entity_index,
+                     uint32_t variant, std::string* out);
+
 /// Recognizes the three URL patterns and extracts the entity index
 /// ("we extracted user clicks on URLs that correspond to a unique
-/// structured entity", §4.1). Returns nullopt for anything else.
+/// structured entity", §4.1). The host compares case-insensitively after
+/// NormalizeHost's "www." and trailing-dot rules; the path is matched as
+/// is. Returns nullopt for anything else. Allocation-free.
 std::optional<EntityUrlKey> ParseEntityUrl(std::string_view url);
 
 }  // namespace wsd

@@ -1,15 +1,22 @@
 // Property suite for the demand estimator: on randomly generated,
 // randomly shuffled event streams, the estimator must agree with a
 // brute-force implementation of the paper's unique-cookie rules, and be
-// order-independent.
+// order-independent. The production StreamingDemandCounter must then
+// agree with the estimator exactly on generated logs, and fail closed on
+// streams that break its entity-run contract.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "traffic/demand.h"
+#include "traffic/review_model.h"
+#include "traffic/traffic_log.h"
 #include "util/rng.h"
 
 namespace wsd {
@@ -105,6 +112,180 @@ TEST_P(DemandEstimatorProperty, OrderIndependent) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DemandEstimatorProperty,
                          ::testing::Range<uint64_t>(500, 525));
+
+// ---------- StreamingDemandCounter vs. the reference ----------
+
+struct StreamCase {
+  TrafficSite site;
+  uint64_t seed;
+  uint32_t num_entities;
+  TrafficLogOptions log;
+};
+
+std::vector<StreamCase> StreamCases() {
+  TrafficLogOptions repeats;
+  repeats.repeat_visit_rate = 3.0;
+  TrafficLogOptions noisy;
+  noisy.noise_url_fraction = 0.1;
+  std::vector<StreamCase> cases;
+  for (TrafficSite site :
+       {TrafficSite::kAmazon, TrafficSite::kYelp, TrafficSite::kImdb}) {
+    for (uint64_t seed : {1u, 42u, 777u}) {
+      for (const TrafficLogOptions& log :
+           {TrafficLogOptions{}, repeats, noisy}) {
+        for (uint32_t entities : {256u, 1000u}) {
+          cases.push_back({site, seed, entities, log});
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+class StreamingCounterDifferential
+    : public ::testing::TestWithParam<StreamCase> {};
+
+// The streaming counter, one per channel and merged, equals the
+// sort-based reference fed both channels: demand vectors and event
+// counts, exactly. Each single-channel table also equals the reference fed
+// only that channel.
+TEST_P(StreamingCounterDifferential, MatchesDemandEstimatorExactly) {
+  const StreamCase& c = GetParam();
+  TrafficSiteParams params = DefaultTrafficParams(c.site);
+  params.num_entities = c.num_entities;
+  const SitePopulation population = BuildPopulation(params, c.seed);
+  const TrafficLogGenerator generator(population, c.log, c.seed ^ 0x5eed);
+
+  DemandEstimator both(c.site, c.num_entities);
+  std::vector<DemandTable> channel_tables;
+  for (TrafficChannel channel :
+       {TrafficChannel::kSearch, TrafficChannel::kBrowse}) {
+    DemandEstimator reference(c.site, c.num_entities);
+    StreamingDemandCounter counter(c.site, channel, c.num_entities);
+    generator.Generate(channel, [&](const VisitEvent& e) {
+      both.Consume(e);
+      reference.Consume(e);
+      counter.Consume(e);
+    });
+    auto streamed = counter.Finish();
+    ASSERT_TRUE(streamed.ok()) << streamed.status();
+    const DemandTable expected = reference.Finalize();
+    EXPECT_EQ(streamed->search_demand, expected.search_demand);
+    EXPECT_EQ(streamed->browse_demand, expected.browse_demand);
+    EXPECT_EQ(streamed->events_consumed, expected.events_consumed);
+    EXPECT_EQ(streamed->events_skipped, expected.events_skipped);
+    channel_tables.push_back(std::move(streamed).value());
+  }
+  const DemandTable merged = MergeChannelTables(std::move(channel_tables[0]),
+                                                std::move(channel_tables[1]));
+  const DemandTable expected = both.Finalize();
+  EXPECT_EQ(merged.site, c.site);
+  EXPECT_EQ(merged.search_demand, expected.search_demand);
+  EXPECT_EQ(merged.browse_demand, expected.browse_demand);
+  EXPECT_EQ(merged.events_consumed, expected.events_consumed);
+  EXPECT_EQ(merged.events_skipped, expected.events_skipped);
+  EXPECT_GT(merged.events_skipped, 0u);
+}
+
+// The order the streaming counter relies on: within a channel, each
+// entity's events form one run, in entity order; only noise falls between.
+TEST_P(StreamingCounterDifferential, GeneratorEmitsEntityRunsContiguously) {
+  const StreamCase& c = GetParam();
+  TrafficSiteParams params = DefaultTrafficParams(c.site);
+  params.num_entities = c.num_entities;
+  const SitePopulation population = BuildPopulation(params, c.seed);
+  const TrafficLogGenerator generator(population, c.log, c.seed ^ 0x5eed);
+  for (TrafficChannel channel :
+       {TrafficChannel::kSearch, TrafficChannel::kBrowse}) {
+    std::set<uint32_t> closed;
+    std::optional<uint32_t> current;
+    uint64_t runs = 0;
+    generator.Generate(channel, [&](const VisitEvent& e) {
+      const auto key = ParseEntityUrl(e.url);
+      if (!key.has_value()) return;  // noise
+      ASSERT_EQ(key->site, c.site);
+      if (current == key->entity_index) return;
+      if (current.has_value()) {
+        EXPECT_LT(*current, key->entity_index);
+        closed.insert(*current);
+      }
+      EXPECT_EQ(closed.count(key->entity_index), 0u)
+          << "entity " << key->entity_index << " reappears";
+      current = key->entity_index;
+      ++runs;
+    });
+    EXPECT_GT(runs, 0u);
+  }
+}
+
+std::string StreamCaseName(const ::testing::TestParamInfo<StreamCase>& info) {
+  const StreamCase& c = info.param;
+  std::string name = std::string(TrafficSiteName(c.site)) + "_seed" +
+                     std::to_string(c.seed) + "_n" +
+                     std::to_string(c.num_entities);
+  if (c.log.repeat_visit_rate > 1.0) name += "_repeats";
+  if (c.log.noise_url_fraction > 0.05) name += "_noisy";
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(SitesSeedsPopulations, StreamingCounterDifferential,
+                         ::testing::ValuesIn(StreamCases()), StreamCaseName);
+
+VisitEvent YelpEvent(uint32_t entity, uint64_t cookie,
+                     TrafficChannel channel = TrafficChannel::kSearch) {
+  VisitEvent event;
+  event.cookie = cookie;
+  event.month = 3;
+  event.channel = channel;
+  event.url = EntityUrl(TrafficSite::kYelp, entity);
+  return event;
+}
+
+// An entity that comes back after another entity's run fails closed and
+// the error names it.
+TEST(StreamingDemandCounterTest, InterleavedRunsFailClosed) {
+  StreamingDemandCounter counter(TrafficSite::kYelp, TrafficChannel::kSearch,
+                                 10);
+  counter.Consume(YelpEvent(4, 1));
+  counter.Consume(YelpEvent(7, 2));
+  counter.Consume(YelpEvent(4, 3));
+  const auto table = counter.Finish();
+  ASSERT_FALSE(table.ok());
+  EXPECT_EQ(table.status().code(), StatusCode::kFailedPrecondition)
+      << table.status();
+  EXPECT_NE(table.status().message().find("entity 4"), std::string::npos)
+      << table.status();
+}
+
+// Noise between two events of one entity does not split its run, and
+// repeat cookies inside the run count once.
+TEST(StreamingDemandCounterTest, NoiseInsideARunIsSkipped) {
+  StreamingDemandCounter counter(TrafficSite::kYelp, TrafficChannel::kSearch,
+                                 10);
+  counter.Consume(YelpEvent(4, 1));
+  VisitEvent noise = YelpEvent(4, 1);
+  noise.url = "http://www.yelp.com/events";
+  counter.Consume(noise);
+  counter.Consume(YelpEvent(4, 1));
+  counter.Consume(YelpEvent(4, 2));
+  const auto table = counter.Finish();
+  ASSERT_TRUE(table.ok()) << table.status();
+  EXPECT_DOUBLE_EQ(table->search_demand[4], 2.0);
+  EXPECT_EQ(table->events_consumed, 4u);
+  EXPECT_EQ(table->events_skipped, 1u);
+}
+
+// A single-channel counter refuses the other channel's events.
+TEST(StreamingDemandCounterTest, OtherChannelFailsClosed) {
+  StreamingDemandCounter counter(TrafficSite::kYelp, TrafficChannel::kSearch,
+                                 10);
+  counter.Consume(YelpEvent(4, 1));
+  counter.Consume(YelpEvent(5, 1, TrafficChannel::kBrowse));
+  const auto table = counter.Finish();
+  ASSERT_FALSE(table.ok());
+  EXPECT_EQ(table.status().code(), StatusCode::kFailedPrecondition)
+      << table.status();
+}
 
 }  // namespace
 }  // namespace wsd

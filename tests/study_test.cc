@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
+#include <vector>
 
+#include "core/report.h"
 #include "extract/attribute_registry.h"
 #include "util/metrics.h"
 
@@ -252,8 +255,48 @@ TEST_F(StudySmall, ValueStudyDeterministic) {
   EXPECT_EQ(a->reviews, b->reviews);
 }
 
-// Each value study records exactly one wsd.core.value_study_seconds
-// observation, whatever the site.
+// The batch gives every site exactly the result of its one-site call, at
+// any thread count: each (site, channel) stream is independent.
+TEST(StudyValueBatchTest, BatchMatchesSingleSiteCallsAtAnyThreadCount) {
+  const std::vector<TrafficSite> sites = {
+      TrafficSite::kAmazon, TrafficSite::kYelp, TrafficSite::kImdb};
+  StudyOptions options = SmallOptions();
+  options.scale = 0.02;
+  options.threads = 1;
+  Study serial(options);
+  std::vector<Study::ValueStudyResult> singles;
+  for (TrafficSite site : sites) {
+    auto single = serial.RunValueStudy(site);
+    ASSERT_TRUE(single.ok()) << single.status();
+    singles.push_back(std::move(single).value());
+  }
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    options.threads = threads;
+    Study study(options);
+    auto batch = study.RunValueStudies(sites);
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    ASSERT_EQ(batch->size(), sites.size());
+    for (size_t i = 0; i < sites.size(); ++i) {
+      const Study::ValueStudyResult& a = (*batch)[i];
+      const Study::ValueStudyResult& b = singles[i];
+      EXPECT_EQ(a.site, sites[i]);
+      EXPECT_EQ(a.demand.search_demand, b.demand.search_demand);
+      EXPECT_EQ(a.demand.browse_demand, b.demand.browse_demand);
+      EXPECT_EQ(a.demand.events_consumed, b.demand.events_consumed);
+      EXPECT_EQ(a.demand.events_skipped, b.demand.events_skipped);
+      EXPECT_EQ(a.reviews, b.reviews);
+      EXPECT_EQ(a.head20_search, b.head20_search);
+      EXPECT_EQ(a.head20_browse, b.head20_browse);
+      EXPECT_EQ(ValueBinsTsv(a.bins), ValueBinsTsv(b.bins));
+      EXPECT_EQ(DemandCurveTsv(a.search_curve, a.browse_curve),
+                DemandCurveTsv(b.search_curve, b.browse_curve));
+    }
+  }
+}
+
+// Each value-study call records exactly one wsd.core.value_study_seconds
+// observation, whatever the site, and a batch of sites records one too.
 TEST(StudyMetricsTest, ValueStudyRecordsOneTimerObservationPerCall) {
   StudyOptions options = SmallOptions();
   options.scale = 0.02;
@@ -265,6 +308,38 @@ TEST(StudyMetricsTest, ValueStudyRecordsOneTimerObservationPerCall) {
   EXPECT_EQ(timer.count(), before + 1);
   ASSERT_TRUE(study.RunValueStudy(TrafficSite::kImdb).ok());
   EXPECT_EQ(timer.count(), before + 2);
+  ASSERT_TRUE(
+      study.RunValueStudies({TrafficSite::kAmazon, TrafficSite::kImdb}).ok());
+  EXPECT_EQ(timer.count(), before + 3);
+}
+
+// wsd.corpus.build_seconds records one observation per synthetic-web
+// build: one per live scan, none when the memo or the artifact store
+// answers.
+TEST(StudyMetricsTest, CorpusBuildTimerRecordsOnePerLiveScan) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "wsd_study_build_timer")
+          .string();
+  std::filesystem::remove_all(dir);
+  StudyOptions options = SmallOptions();
+  options.num_entities = 400;
+  options.artifact_dir = dir;
+  const LatencyHistogram& timer =
+      MetricsRegistry::Global().GetHistogram("wsd.corpus.build_seconds");
+  const uint64_t before = timer.count();
+
+  Study cold(options);
+  ASSERT_TRUE(cold.Scan(Domain::kBanks, Attribute::kPhone).ok());
+  EXPECT_EQ(timer.count(), before + 1) << "live scan";
+  ASSERT_TRUE(cold.Scan(Domain::kBanks, Attribute::kPhone).ok());
+  EXPECT_EQ(timer.count(), before + 1) << "memo hit";
+  ASSERT_TRUE(cold.Scan(Domain::kBanks, Attribute::kHomepage).ok());
+  EXPECT_EQ(timer.count(), before + 2) << "second live scan";
+
+  Study warm(options);
+  ASSERT_TRUE(warm.Scan(Domain::kBanks, Attribute::kPhone).ok());
+  EXPECT_EQ(timer.count(), before + 2) << "store hit";
+  std::filesystem::remove_all(dir);
 }
 
 // Scale stability: the coverage shape barely moves between 1x and 2x

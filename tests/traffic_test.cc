@@ -1,10 +1,49 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
+#include <string>
+
 #include "traffic/demand.h"
 #include "traffic/review_model.h"
 #include "traffic/traffic_log.h"
 #include "traffic/url_patterns.h"
+#include "util/hash.h"
 #include "util/histogram.h"
+
+#include <cstdlib>
+#include <new>
+
+// --- Allocation counting hook (for the per-event allocation test) ---
+//
+// Replaces global operator new/delete with malloc/free plus a
+// thread-local counter that only ticks while armed. Other threads and
+// tests run with the flag down, so the override is inert outside the
+// allocation test.
+namespace {
+thread_local bool g_count_allocs = false;
+thread_local uint64_t g_alloc_count = 0;
+
+struct AllocCountGuard {
+  AllocCountGuard() {
+    g_alloc_count = 0;
+    g_count_allocs = true;
+  }
+  ~AllocCountGuard() { g_count_allocs = false; }
+};
+}  // namespace
+
+void* operator new(size_t size) {
+  if (g_count_allocs) ++g_alloc_count;
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+void* operator new[](size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete[](void* p, size_t) noexcept { std::free(p); }
 
 namespace wsd {
 namespace {
@@ -66,6 +105,133 @@ TEST(UrlPatternTest, RejectsNonEntityUrls) {
   EXPECT_FALSE(ParseEntityUrl("http://yelp.com/biz/mario-grill").has_value());
   EXPECT_FALSE(
       ParseEntityUrl("http://www.imdb.com/title/ttXYZ/").has_value());
+}
+
+// Pins ParseEntityUrl's accept/reject behaviour across the URL shapes the
+// §4.1 pattern step meets: host case and "www.", trailing-dot hosts,
+// ports, userinfo, fragments, queries, schemes and whitespace.
+struct EntityUrlCase {
+  const char* url;
+  std::optional<TrafficSite> site;  // nullopt: must not parse
+  uint32_t entity = 0;
+};
+
+TEST(EntityUrlPinningTest, ParseTable) {
+  const EntityUrlCase kCases[] = {
+      // Host case, with and without "www.".
+      {"http://WWW.AMAZON.COM/gp/product/B000000042", TrafficSite::kAmazon,
+       42},
+      {"http://Amazon.Com/gp/product/B000000042", TrafficSite::kAmazon, 42},
+      {"http://YELP.com/biz/biz-000123", TrafficSite::kYelp, 123},
+      {"http://wWw.Yelp.COM/biz/biz-000123", TrafficSite::kYelp, 123},
+      {"http://IMDB.COM/title/tt0000099/", TrafficSite::kImdb, 99},
+      // Trailing-dot host.
+      {"http://www.imdb.com./title/tt0000099/", TrafficSite::kImdb, 99},
+      {"http://amazon.com./gp/product/B000000001", TrafficSite::kAmazon, 1},
+      // Port, userinfo, fragment, query.
+      {"http://www.amazon.com:8080/gp/product/B000000001",
+       TrafficSite::kAmazon, 1},
+      {"http://user:pw@www.yelp.com/biz/biz-000005", TrafficSite::kYelp, 5},
+      {"http://www.imdb.com/title/tt0000099/#reviews", TrafficSite::kImdb,
+       99},
+      {"http://www.imdb.com/title/tt0000099#x/y?z", TrafficSite::kImdb, 99},
+      {"http://www.yelp.com/biz/biz-000007?osq=pizza", TrafficSite::kYelp, 7},
+      {"http://www.amazon.com/some-title/dp/B000000007/ref=x?tag=1",
+       TrafficSite::kAmazon, 7},
+      {"http://www.amazon.com/x/gp/product/B000000042", TrafficSite::kAmazon,
+       42},
+      // Scheme and surrounding whitespace.
+      {"https://www.yelp.com/biz/biz-000007", TrafficSite::kYelp, 7},
+      {"HTTPS://www.yelp.com/biz/biz-000007", TrafficSite::kYelp, 7},
+      {"  \thttp://www.yelp.com/biz/biz-000007 \n", TrafficSite::kYelp, 7},
+      {"http:// www.yelp.com /biz/biz-000008", TrafficSite::kYelp, 8},
+      // Foreign hosts.
+      {"http://www.example.com/biz/biz-000007", std::nullopt},
+      {"http://yelp.com.evil.com/biz/biz-000001", std::nullopt},
+      {"http://notamazon.com/gp/product/B000000001", std::nullopt},
+      {"http://www.www.yelp.com/biz/biz-000001", std::nullopt},
+      {"http://www./biz/biz-000001", std::nullopt},
+      // Empty or non-numeric keys, wrong widths, overflow.
+      {"http://www.yelp.com/biz/", std::nullopt},
+      {"http://www.yelp.com/biz/biz-", std::nullopt},
+      {"http://www.imdb.com/title/tt/", std::nullopt},
+      {"http://www.amazon.com/gp/product/", std::nullopt},
+      {"http://www.amazon.com/gp/product/B00000004X", std::nullopt},
+      {"http://www.amazon.com/gp/product/B00000042", std::nullopt},
+      {"http://www.amazon.com/gp/product/b000000042", std::nullopt},
+      {"http://www.yelp.com/biz/biz-12a", std::nullopt},
+      {"http://www.imdb.com/title/tt4294967296/", std::nullopt},
+      {"http://www.imdb.com/title/tt4294967295/", TrafficSite::kImdb,
+       4294967295u},
+      // Path matching is case-sensitive; the key must follow the prefix.
+      {"http://www.yelp.com/BIZ/biz-000001", std::nullopt},
+      {"http://www.yelp.com/biz?biz-000001", std::nullopt},
+      // Not an absolute http(s) URL.
+      {"http://www.amazon.com:99999/gp/product/B000000001", std::nullopt},
+      {"ftp://www.amazon.com/gp/product/B000000001", std::nullopt},
+      {"www.amazon.com/gp/product/B000000001", std::nullopt},
+      {"http://www.amazon.com", std::nullopt},
+      {"http:///biz/biz-000001", std::nullopt},
+      {"", std::nullopt},
+  };
+  for (const EntityUrlCase& c : kCases) {
+    SCOPED_TRACE(c.url);
+    const auto key = ParseEntityUrl(c.url);
+    ASSERT_EQ(key.has_value(), c.site.has_value());
+    if (!key.has_value()) continue;
+    EXPECT_EQ(key->site, *c.site);
+    EXPECT_EQ(key->entity_index, c.entity);
+  }
+}
+
+// Pins EntityUrl's bytes and its round trip for every site and variant,
+// at entity 0 and at the widest index the key format holds.
+TEST(EntityUrlPinningTest, RoundTripAtZeroAndWidthLimit) {
+  struct Pinned {
+    TrafficSite site;
+    uint32_t variant;
+    uint32_t width_limit;
+    const char* url_at_zero;
+  };
+  const Pinned kPinned[] = {
+      {TrafficSite::kAmazon, 0, 999999999u,
+       "http://www.amazon.com/gp/product/B000000000"},
+      {TrafficSite::kAmazon, 1, 999999999u,
+       "http://www.amazon.com/some-product-title/dp/B000000000"},
+      {TrafficSite::kYelp, 0, 999999u, "http://www.yelp.com/biz/biz-000000"},
+      {TrafficSite::kYelp, 1, 999999u, "http://www.yelp.com/biz/biz-000000"},
+      {TrafficSite::kImdb, 0, 9999999u,
+       "http://www.imdb.com/title/tt0000000/"},
+      {TrafficSite::kImdb, 1, 9999999u,
+       "http://www.imdb.com/title/tt0000000/"},
+  };
+  for (const Pinned& p : kPinned) {
+    SCOPED_TRACE(std::string(TrafficSiteName(p.site)) + " variant " +
+                 std::to_string(p.variant));
+    EXPECT_EQ(EntityUrl(p.site, 0, p.variant), p.url_at_zero);
+    for (uint32_t idx : {0u, p.width_limit}) {
+      const std::string url = EntityUrl(p.site, idx, p.variant);
+      const auto key = ParseEntityUrl(url);
+      ASSERT_TRUE(key.has_value()) << url;
+      EXPECT_EQ(key->site, p.site);
+      EXPECT_EQ(key->entity_index, idx);
+    }
+  }
+  EXPECT_EQ(EntityUrl(TrafficSite::kAmazon, 999999999u, 1),
+            "http://www.amazon.com/some-product-title/dp/B999999999");
+  EXPECT_EQ(EntityUrl(TrafficSite::kYelp, 999999u),
+            "http://www.yelp.com/biz/biz-999999");
+  EXPECT_EQ(EntityUrl(TrafficSite::kImdb, 9999999u),
+            "http://www.imdb.com/title/tt9999999/");
+  // One past Amazon's width the ASIN grows to 11 characters and no longer
+  // parses; Yelp and IMDb keys just widen.
+  EXPECT_EQ(EntityUrl(TrafficSite::kAmazon, 1000000000u),
+            "http://www.amazon.com/gp/product/B1000000000");
+  EXPECT_FALSE(
+      ParseEntityUrl(EntityUrl(TrafficSite::kAmazon, 1000000000u)).has_value());
+  EXPECT_EQ(ParseEntityUrl(EntityUrl(TrafficSite::kYelp, 1000000u))
+                ->entity_index,
+            1000000u);
 }
 
 // ---------- population model ----------
@@ -131,6 +297,70 @@ TEST(TrafficLogTest, EventsParseAndCountsMatchIntensity) {
   EXPECT_NEAR(static_cast<double>(events),
               generator.ExpectedEvents(TrafficChannel::kSearch),
               0.1 * generator.ExpectedEvents(TrafficChannel::kSearch));
+}
+
+// Pins the generated event stream (every cookie, month and URL byte, in
+// order) for one small population per site and both channels, so the
+// generator's rendering can change but its output cannot.
+TEST(TrafficLogTest, EventStreamIsPinned) {
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  uint64_t events = 0;
+  for (TrafficSite site :
+       {TrafficSite::kAmazon, TrafficSite::kYelp, TrafficSite::kImdb}) {
+    TrafficSiteParams params = DefaultTrafficParams(site);
+    params.num_entities = 300;
+    const SitePopulation pop = BuildPopulation(params, 11);
+    TrafficLogOptions options;
+    options.noise_url_fraction = 0.1;
+    const TrafficLogGenerator generator(pop, options, 29);
+    for (TrafficChannel channel :
+         {TrafficChannel::kSearch, TrafficChannel::kBrowse}) {
+      generator.Generate(channel, [&](const VisitEvent& e) {
+        ++events;
+        ASSERT_EQ(e.channel, channel);
+        digest = HashCombine(digest, e.cookie);
+        digest = HashCombine(digest, e.month);
+        digest = Fnv1a64(e.url, digest);
+      });
+    }
+  }
+  EXPECT_EQ(events, 100761u);
+  EXPECT_EQ(digest, 1975007625805451732ULL);
+}
+
+// Generating and counting one channel allocates nothing per event: the
+// only allocations are the generator's URL buffer and the counter's run
+// buffer growing to their high-water marks, a few dozen at most, against
+// tens of thousands of events.
+TEST(StreamingDemandCounterTest, CountingAChannelDoesNotAllocatePerEvent) {
+  for (TrafficSite site :
+       {TrafficSite::kAmazon, TrafficSite::kYelp, TrafficSite::kImdb}) {
+    SCOPED_TRACE(std::string(TrafficSiteName(site)));
+    TrafficSiteParams params = DefaultTrafficParams(site);
+    params.num_entities = 2000;
+    const SitePopulation pop = BuildPopulation(params, 5);
+    TrafficLogOptions options;
+    options.noise_url_fraction = 0.1;
+    const TrafficLogGenerator generator(pop, options, 17);
+    for (TrafficChannel channel :
+         {TrafficChannel::kSearch, TrafficChannel::kBrowse}) {
+      StreamingDemandCounter counter(site, channel, params.num_entities);
+      const std::function<void(const VisitEvent&)> sink =
+          [&](const VisitEvent& e) { counter.Consume(e); };
+      uint64_t allocs = 0;
+      {
+        const AllocCountGuard guard;
+        generator.Generate(channel, sink);
+        allocs = g_alloc_count;
+      }
+      auto table = counter.Finish();
+      ASSERT_TRUE(table.ok()) << table.status();
+      ASSERT_GT(table->events_consumed, 20000u);
+      EXPECT_GT(table->events_skipped, 0u);
+      EXPECT_LE(allocs, 40u) << "over " << table->events_consumed
+                             << " events";
+    }
+  }
 }
 
 TEST(DemandEstimatorTest, DeduplicatesCookiesPerPaperRules) {

@@ -547,11 +547,15 @@ int CmdPaper(const Args& args, const StudyOptions& options) {
             SetCoverTsv)) {
     return 1;
   }
-  // Figures 6-8.
-  for (TrafficSite site : {TrafficSite::kAmazon, TrafficSite::kYelp,
-                           TrafficSite::kImdb}) {
-    const auto value = study.RunValueStudy(site);
-    const std::string lower = ToLower(TrafficSiteName(site));
+  // Figures 6-8: the three value studies run as one batch on the pool.
+  const std::vector<TrafficSite> sites = {
+      TrafficSite::kAmazon, TrafficSite::kYelp, TrafficSite::kImdb};
+  auto values = study.RunValueStudies(sites);
+  for (size_t i = 0; i < sites.size(); ++i) {
+    using Value = StatusOr<Study::ValueStudyResult>;
+    const Value value = values.ok() ? Value(std::move((*values)[i]))
+                                    : Value(values.status());
+    const std::string lower = ToLower(TrafficSiteName(sites[i]));
     if (!emit("fig6_demand_" + lower, value,
               [](const auto& v) {
                 return DemandCurveTsv(v.search_curve, v.browse_curve);
