@@ -30,10 +30,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     WSD_FUZZ_ASSERT(tier_out == kernel_out);
   }
 
-  // The value-returning wrapper is a thin shim over the same kernel.
-  std::string wrapper_out = wsd::html::ExtractVisibleText(page);
-  WSD_FUZZ_ASSERT(kernel_out == wrapper_out);
-
   // Kernel vs frozen pre-kernel oracle: any divergence is a real bug in
   // one of them (and historically always the kernel).
   std::string legacy_out = wsd::html::ExtractVisibleTextLegacy(page);

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <limits>
-#include <type_traits>
 
 #include "extract/attribute_registry.h"
 #include "util/logging.h"
@@ -60,24 +58,9 @@ StudyOptions StudyOptions::FromEnv() {
 
 StatusOr<StudyOptions> StudyOptions::FromFlags(const FlagParser& flags) {
   StudyOptions options = FromEnv();
-  // An integer flag must parse and fit the field it sets.
-  auto read_uint = [&](const char* name, auto* field) {
-    using Field = std::remove_pointer_t<decltype(field)>;
-    const uint64_t max = std::numeric_limits<Field>::max();
-    const auto raw = flags.Get(name);
-    if (!raw.has_value()) return Status::OK();
-    const auto parsed = ParseUint64(*raw);
-    if (!parsed.has_value() || *parsed > max) {
-      return Status::InvalidArgument(
-          StrFormat("--%s: expected an integer in [0, %llu], got '%s'", name,
-                    static_cast<unsigned long long>(max), raw->c_str()));
-    }
-    *field = static_cast<Field>(*parsed);
-    return Status::OK();
-  };
-  WSD_RETURN_IF_ERROR(read_uint("entities", &options.num_entities));
-  WSD_RETURN_IF_ERROR(read_uint("seed", &options.seed));
-  WSD_RETURN_IF_ERROR(read_uint("threads", &options.threads));
+  WSD_RETURN_IF_ERROR(flags.ReadUint("entities", &options.num_entities));
+  WSD_RETURN_IF_ERROR(flags.ReadUint("seed", &options.seed));
+  WSD_RETURN_IF_ERROR(flags.ReadUint("threads", &options.threads));
   if (const auto raw = flags.Get("scale")) {
     const auto parsed = ParseDouble(*raw);
     if (!parsed.has_value() || !std::isfinite(*parsed) || *parsed <= 0) {

@@ -9,7 +9,6 @@
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/string_util.h"
-#include "util/zipf.h"
 
 namespace wsd {
 

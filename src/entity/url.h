@@ -71,11 +71,6 @@ bool CanonicalizeHomepageInto(std::string_view raw_url, std::string* out);
 /// URL materialization.
 bool ParseHostInto(std::string_view raw_url, std::string* out);
 
-/// Registrable domain ("site") of a host: the last two labels, or three
-/// for well-known two-level public suffixes (co.uk, com.au, ...). Naive
-/// but sufficient for synthetic hosts.
-std::string RegistrableDomain(std::string_view host);
-
 }  // namespace wsd
 
 #endif  // WSD_ENTITY_URL_H_

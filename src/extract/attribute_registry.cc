@@ -481,13 +481,6 @@ std::string AttributeVocabulary(std::string_view sep) {
   return out;
 }
 
-const AttributeSpec* FindAttributeByWireId(uint32_t wire_id) {
-  for (const AttributeSpec& spec : kSpecs) {
-    if (spec.wire_id == wire_id) return &spec;
-  }
-  return nullptr;
-}
-
 std::string_view AttributeName(Attribute a) {
   const auto i = static_cast<size_t>(a);
   if (i >= std::size(kSpecs)) return "unknown";

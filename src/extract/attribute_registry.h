@@ -106,9 +106,6 @@ const AttributeSpec* FindAttributeByName(std::string_view name);
 /// and error text; generated here so it can never go stale).
 std::string AttributeVocabulary(std::string_view sep);
 
-/// Lookup by stable wire id. Returns nullptr when unknown.
-const AttributeSpec* FindAttributeByWireId(uint32_t wire_id);
-
 /// Whether channel `spec` applies to domain `d`.
 inline bool AttributeApplicableTo(const AttributeSpec& spec, Domain d) {
   return (spec.applicable_domains & (1u << static_cast<int>(d))) != 0;

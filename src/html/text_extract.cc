@@ -357,13 +357,6 @@ void ExtractVisibleTextIndexed(std::string_view page_html,
 
 }  // namespace
 
-std::string ExtractVisibleText(std::string_view page_html) {
-  std::string out;
-  out.reserve(page_html.size() / 4);
-  ExtractVisibleTextInto(page_html, &out);
-  return out;
-}
-
 void ExtractVisibleTextInto(std::string_view page_html, std::string* out) {
   if (simd::ActiveTier() == simd::Tier::kScalar) {
     ExtractVisibleTextScalar(page_html, out);

@@ -17,18 +17,11 @@ struct AnchorLink {
 
 /// Extracts the visible text of a page — the concatenated text outside of
 /// tags, scripts and styles, with char refs decoded and block boundaries
-/// rendered as single spaces. Streaming (no DOM build).
-///
-/// Deprecated: allocates a fresh string per page. New call sites (and
-/// anything on a per-page path) should use ExtractVisibleTextInto with a
-/// reused buffer; this wrapper remains for one-shot convenience use.
-std::string ExtractVisibleText(std::string_view page_html);
-
-/// Appending variant of ExtractVisibleText: streams the page through the
-/// view tokenizer and decodes char refs directly into *out, with no
-/// per-token temporaries. Zero heap allocation once *out's capacity
-/// covers the text — the scan kernel calls this with a reused scratch
-/// buffer. Appends to *out (callers clear between pages).
+/// rendered as single spaces. Streams the page through the view tokenizer
+/// and decodes char refs directly into *out, with no per-token
+/// temporaries. Zero heap allocation once *out's capacity covers the text
+/// — the scan kernel calls this with a reused scratch buffer. Appends to
+/// *out (callers clear between pages).
 void ExtractVisibleTextInto(std::string_view page_html, std::string* out);
 
 /// Extracts every <a href=...> on the page, in document order. This is
@@ -36,7 +29,7 @@ void ExtractVisibleTextInto(std::string_view page_html, std::string* out);
 /// of all anchor nodes", paper §3.2).
 std::vector<AnchorLink> ExtractAnchors(std::string_view page_html);
 
-/// The pre-kernel implementation of ExtractVisibleText: materializes
+/// The pre-kernel implementation of ExtractVisibleTextInto: materializes
 /// every token (names, attributes, text) through Tokenizer::Next and
 /// concatenates per-token decoded strings. Byte-identical output; kept
 /// only as the ablation baseline for ScanPipeline::RunLegacy and

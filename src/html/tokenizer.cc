@@ -119,13 +119,5 @@ bool FindTagAttribute(std::string_view tag_body, std::string_view name_lower,
   return false;
 }
 
-std::vector<Token> Tokenizer::TokenizeAll(std::string_view input) {
-  Tokenizer tokenizer(input);
-  std::vector<Token> tokens;
-  Token t;
-  while (tokenizer.Next(&t)) tokens.push_back(t);
-  return tokens;
-}
-
 }  // namespace html
 }  // namespace wsd

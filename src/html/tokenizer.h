@@ -62,7 +62,8 @@ struct TokenView {
 /// Two interfaces share one lexer: NextView yields views into the input
 /// and never allocates (the scan kernel path); Next materializes the same
 /// token stream into an owning Token with lower-cased names and parsed
-/// attributes (the DOM-building path).
+/// attributes (the path ExtractAnchors reads for the frozen legacy scan
+/// oracle and the extract_page example).
 class Tokenizer {
  public:
   /// `input` must outlive the tokenizer.
@@ -76,9 +77,6 @@ class Tokenizer {
 
   /// Fetches the next token, materialized. Returns false at end of input.
   bool Next(Token* token);
-
-  /// Convenience: tokenizes an entire document.
-  static std::vector<Token> TokenizeAll(std::string_view input);
 
  private:
   bool LexTag(TokenView* view);

@@ -1,9 +1,6 @@
 #include "text/naive_bayes.h"
 
 #include <cmath>
-#include <fstream>
-
-#include "util/string_util.h"
 
 namespace wsd {
 namespace text {
@@ -68,72 +65,6 @@ double NaiveBayesClassifier::PredictLogOddsViews(
     }
   }
   return odds;
-}
-
-Status NaiveBayesClassifier::Save(const std::string& path) const {
-  if (!finalized_) {
-    return Status::FailedPrecondition("Save requires a finalized model");
-  }
-  std::ofstream out(path, std::ios::out | std::ios::trunc);
-  if (!out.is_open()) return Status::IOError("cannot open: " + path);
-  out << "wsd_naive_bayes_v1\n";
-  out << doc_count_[0] << '\t' << doc_count_[1] << '\t' << token_count_[0]
-      << '\t' << token_count_[1] << '\t' << vocab_.size() << '\n';
-  for (const auto& [tok, stats] : vocab_) {
-    out << tok << '\t' << stats.count[0] << '\t' << stats.count[1] << '\n';
-  }
-  out.flush();
-  if (!out.good()) return Status::IOError("write failure: " + path);
-  return Status::OK();
-}
-
-StatusOr<NaiveBayesClassifier> NaiveBayesClassifier::Load(
-    const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) return Status::IOError("cannot open: " + path);
-  std::string line;
-  if (!std::getline(in, line) || line != "wsd_naive_bayes_v1") {
-    return Status::Corruption("bad NaiveBayes model header in " + path);
-  }
-  if (!std::getline(in, line)) {
-    return Status::Corruption("truncated NaiveBayes model: " + path);
-  }
-  auto header = Split(line, '\t');
-  if (header.size() != 5) {
-    return Status::Corruption("bad NaiveBayes counts line: " + path);
-  }
-  NaiveBayesClassifier model;
-  auto d0 = ParseUint64(header[0]), d1 = ParseUint64(header[1]);
-  auto t0 = ParseUint64(header[2]), t1 = ParseUint64(header[3]);
-  auto vocab_size = ParseUint64(header[4]);
-  if (!d0 || !d1 || !t0 || !t1 || !vocab_size) {
-    return Status::Corruption("unparseable NaiveBayes counts: " + path);
-  }
-  model.doc_count_[0] = *d0;
-  model.doc_count_[1] = *d1;
-  model.token_count_[0] = *t0;
-  model.token_count_[1] = *t1;
-  model.vocab_.reserve(*vocab_size * 2);
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    auto fields = Split(line, '\t');
-    if (fields.size() != 3) {
-      return Status::Corruption("bad NaiveBayes vocab line: " + path);
-    }
-    auto c0 = ParseUint64(fields[1]), c1 = ParseUint64(fields[2]);
-    if (!c0 || !c1) {
-      return Status::Corruption("unparseable NaiveBayes vocab counts");
-    }
-    TokenStats stats;
-    stats.count[0] = *c0;
-    stats.count[1] = *c1;
-    model.vocab_.emplace(std::string(fields[0]), stats);
-  }
-  if (model.vocab_.size() != *vocab_size) {
-    return Status::Corruption("NaiveBayes vocab size mismatch in " + path);
-  }
-  WSD_RETURN_IF_ERROR(model.Finalize());
-  return model;
 }
 
 }  // namespace text

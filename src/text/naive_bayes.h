@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "util/status.h"
-#include "util/statusor.h"
 
 namespace wsd {
 namespace text {
@@ -25,7 +24,7 @@ class NaiveBayesClassifier {
   void Train(const std::vector<std::string>& tokens, bool positive);
 
   /// Finalizes per-token log-probabilities. Must be called after all
-  /// Train() calls and before Predict*/Save. Returns an error if either
+  /// Train() calls and before Predict*. Returns an error if either
   /// class has no training documents.
   [[nodiscard]] Status Finalize();
 
@@ -43,10 +42,6 @@ class NaiveBayesClassifier {
   bool Predict(const std::vector<std::string>& tokens) const {
     return PredictLogOdds(tokens) > 0.0;
   }
-
-  /// Serialization: a versioned TSV-ish text format.
-  [[nodiscard]] Status Save(const std::string& path) const;
-  [[nodiscard]] static StatusOr<NaiveBayesClassifier> Load(const std::string& path);
 
   bool finalized() const { return finalized_; }
   size_t vocabulary_size() const { return vocab_.size(); }

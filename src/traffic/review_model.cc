@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/logging.h"
-#include "util/zipf.h"
 
 namespace wsd {
 

@@ -47,6 +47,21 @@ std::optional<double> FlagParser::GetDouble(const std::string& name) const {
   return ParseDouble(*raw);
 }
 
+Status FlagParser::ReadUint64(const std::string& name, uint64_t min,
+                              uint64_t max, uint64_t* value) const {
+  const auto raw = Get(name);
+  if (!raw.has_value()) return Status::OK();
+  const auto parsed = ParseUint64(*raw);
+  if (!parsed.has_value() || *parsed < min || *parsed > max) {
+    return Status::InvalidArgument(StrFormat(
+        "--%s: expected an integer in [%llu, %llu], got '%s'", name.c_str(),
+        static_cast<unsigned long long>(min),
+        static_cast<unsigned long long>(max), raw->c_str()));
+  }
+  *value = *parsed;
+  return Status::OK();
+}
+
 bool FlagParser::Has(const std::string& name) const {
   return flags_.contains(name);
 }

@@ -1,11 +1,17 @@
 #ifndef WSD_UTIL_FLAGS_H_
 #define WSD_UTIL_FLAGS_H_
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
+
+#include "util/status.h"
 
 namespace wsd {
 
@@ -28,11 +34,32 @@ class FlagParser {
   std::optional<uint64_t> GetUint(const std::string& name) const;
   std::optional<double> GetDouble(const std::string& name) const;
 
+  /// Reads integer flag --name into *field. Absent: OK, and *field keeps
+  /// its value. Present: the value must be a decimal integer in
+  /// [min, max] that *field can hold; anything else is InvalidArgument
+  /// naming the flag, so a malformed value never becomes a silent
+  /// default or a wrapped one.
+  template <typename T>
+  [[nodiscard]] Status ReadUint(
+      const std::string& name, T* field, uint64_t min = 0,
+      uint64_t max = std::numeric_limits<T>::max()) const {
+    static_assert(std::is_unsigned_v<T>);
+    uint64_t value = *field;
+    WSD_RETURN_IF_ERROR(ReadUint64(
+        name, min, std::min<uint64_t>(max, std::numeric_limits<T>::max()),
+        &value));
+    *field = static_cast<T>(value);
+    return Status::OK();
+  }
+
   bool Has(const std::string& name) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:
+  [[nodiscard]] Status ReadUint64(const std::string& name, uint64_t min,
+                                  uint64_t max, uint64_t* value) const;
+
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
 };

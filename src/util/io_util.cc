@@ -3,23 +3,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <system_error>
 
 namespace wsd {
 
 namespace fs = std::filesystem;
-
-StatusOr<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::in | std::ios::binary);
-  if (!in.is_open()) {
-    return Status::IOError("cannot open for reading: " + path);
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) return Status::IOError("read failure: " + path);
-  return bytes;
-}
 
 Status WriteStringToFile(const std::string& path, std::string_view data) {
   std::ofstream out(path, std::ios::out | std::ios::trunc | std::ios::binary);

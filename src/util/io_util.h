@@ -5,13 +5,8 @@
 #include <string_view>
 
 #include "util/status.h"
-#include "util/statusor.h"
 
 namespace wsd {
-
-/// Reads the whole file at `path` as binary bytes. IOError when the file
-/// cannot be opened or read.
-[[nodiscard]] StatusOr<std::string> ReadFileToString(const std::string& path);
 
 /// Creates or truncates `path` and writes `data` to it. IOError naming
 /// the path when it cannot be opened (a directory, a missing parent) or

@@ -58,14 +58,6 @@ uint64_t Rng::Uniform(uint64_t bound) {
   return static_cast<uint64_t>(m >> 64);
 }
 
-int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
-  WSD_DCHECK(lo <= hi);
-  uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-  // span == 0 means the full 64-bit range.
-  uint64_t draw = (span == 0) ? Next() : Uniform(span);
-  return lo + static_cast<int64_t>(draw);
-}
-
 double Rng::NextDouble() {
   // 53 high-quality bits -> [0, 1).
   return static_cast<double>(Next() >> 11) * 0x1.0p-53;
@@ -83,13 +75,6 @@ double Rng::Normal() {
   if (u1 < 1e-300) u1 = 1e-300;
   double u2 = NextDouble();
   return std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
-}
-
-double Rng::Exponential(double lambda) {
-  WSD_DCHECK(lambda > 0);
-  double u = NextDouble();
-  if (u < 1e-300) u = 1e-300;
-  return -std::log(u) / lambda;
 }
 
 uint64_t Rng::Poisson(double mean) {
@@ -110,55 +95,8 @@ uint64_t Rng::Poisson(double mean) {
   return n;
 }
 
-double Rng::Pareto(double xmin, double alpha) {
-  WSD_DCHECK(xmin > 0 && alpha > 0);
-  double u = NextDouble();
-  if (u < 1e-300) u = 1e-300;
-  return xmin * std::pow(u, -1.0 / alpha);
-}
-
 double Rng::LogNormal(double mu, double sigma) {
   return std::exp(Normal(mu, sigma));
-}
-
-Rng Rng::Fork() {
-  // Two draws feed SplitMix64 to seed the child; keeps parent and child
-  // streams decorrelated.
-  uint64_t seed = Next() ^ Rotl(Next(), 31);
-  return Rng(seed);
-}
-
-std::vector<uint64_t> SampleWithoutReplacement(Rng& rng, uint64_t n,
-                                               uint64_t k) {
-  WSD_CHECK(k <= n) << "sample size " << k << " exceeds population " << n;
-  // Floyd's algorithm: O(k) expected insertions.
-  std::vector<uint64_t> out;
-  out.reserve(k);
-  // For dense samples a simple reservoir over [0,n) is cheaper than the
-  // hash set Floyd's needs; cut over at half the population.
-  if (k * 2 >= n) {
-    out.resize(n);
-    for (uint64_t i = 0; i < n; ++i) out[i] = i;
-    rng.Shuffle(out);
-    out.resize(k);
-    return out;
-  }
-  std::vector<uint64_t> seen;  // small; linear membership test
-  seen.reserve(k);
-  for (uint64_t j = n - k; j < n; ++j) {
-    uint64_t t = rng.Uniform(j + 1);
-    bool dup = false;
-    for (uint64_t v : seen) {
-      if (v == t) {
-        dup = true;
-        break;
-      }
-    }
-    uint64_t pick = dup ? j : t;
-    seen.push_back(pick);
-    out.push_back(pick);
-  }
-  return out;
 }
 
 AliasTable::AliasTable(const std::vector<double>& weights) { Reset(weights); }

@@ -14,7 +14,7 @@ uint64_t SplitMix64(uint64_t& state);
 /// Deterministic 64-bit PRNG (xoshiro256**). Every randomized component in
 /// the library takes an explicit seed so all experiments are reproducible.
 ///
-/// Not thread-safe; use one Rng per thread (see Rng::Fork).
+/// Not thread-safe; use one Rng per thread.
 class Rng {
  public:
   /// Seeds the four words of state from `seed` via SplitMix64.
@@ -26,9 +26,6 @@ class Rng {
   /// Uniform in [0, bound). bound must be > 0. Uses Lemire's unbiased
   /// multiply-shift rejection method.
   uint64_t Uniform(uint64_t bound);
-
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  int64_t UniformInt(int64_t lo, int64_t hi);
 
   /// Uniform double in [0, 1).
   double NextDouble();
@@ -43,23 +40,12 @@ class Rng {
   /// Gaussian with the given mean and standard deviation.
   double Normal(double mean, double stddev) { return mean + stddev * Normal(); }
 
-  /// Exponential with rate lambda (> 0).
-  double Exponential(double lambda);
-
   /// Poisson-distributed count with the given mean (Knuth for small means,
   /// normal approximation above 64).
   uint64_t Poisson(double mean);
 
-  /// Pareto (power-law) sample: xmin * U^{-1/alpha}, alpha > 0.
-  double Pareto(double xmin, double alpha);
-
   /// Log-normal sample with the given parameters of the underlying normal.
   double LogNormal(double mu, double sigma);
-
-  /// Derives an independent stream for a child task (thread/shard). The
-  /// child sequence does not overlap the parent's with overwhelming
-  /// probability.
-  Rng Fork();
 
   /// Fisher-Yates shuffles `v` in place.
   template <typename T>
@@ -77,11 +63,6 @@ class Rng {
  private:
   uint64_t s_[4];
 };
-
-/// Samples `k` distinct indices from [0, n) uniformly (Floyd's algorithm).
-/// Returned order is unspecified. Requires k <= n.
-std::vector<uint64_t> SampleWithoutReplacement(Rng& rng, uint64_t n,
-                                               uint64_t k);
 
 /// O(1) sampling from a fixed discrete distribution (Walker/Vose alias
 /// method). Weights must be non-negative with a positive sum.

@@ -30,35 +30,6 @@ std::vector<std::string_view> SplitSkipEmpty(std::string_view s, char sep) {
   return out;
 }
 
-namespace {
-
-template <typename Seq>
-std::string JoinImpl(const Seq& parts, std::string_view sep) {
-  std::string out;
-  size_t total = 0;
-  for (const auto& p : parts) total += p.size() + sep.size();
-  out.reserve(total);
-  bool first = true;
-  for (const auto& p : parts) {
-    if (!first) out.append(sep);
-    first = false;
-    out.append(p);
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string Join(const std::vector<std::string>& parts,
-                 std::string_view sep) {
-  return JoinImpl(parts, sep);
-}
-
-std::string Join(const std::vector<std::string_view>& parts,
-                 std::string_view sep) {
-  return JoinImpl(parts, sep);
-}
-
 std::string_view Trim(std::string_view s) {
   size_t b = 0;
   while (b < s.size() && IsSpace(s[b])) ++b;
@@ -83,11 +54,6 @@ std::string ToUpper(std::string_view s) {
 
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
 }
 
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
@@ -118,25 +84,6 @@ std::optional<double> ParseDouble(std::string_view s) {
   double v = std::strtod(buf.c_str(), &end);
   if (end != buf.c_str() + buf.size()) return std::nullopt;
   return v;
-}
-
-std::string ReplaceAll(std::string_view s, std::string_view from,
-                       std::string_view to) {
-  if (from.empty()) return std::string(s);
-  std::string out;
-  out.reserve(s.size());
-  size_t start = 0;
-  while (true) {
-    size_t pos = s.find(from, start);
-    if (pos == std::string_view::npos) {
-      out.append(s.substr(start));
-      break;
-    }
-    out.append(s.substr(start, pos - start));
-    out.append(to);
-    start = pos + from.size();
-  }
-  return out;
 }
 
 std::string StrFormat(const char* fmt, ...) {

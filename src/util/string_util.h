@@ -15,11 +15,6 @@ std::vector<std::string_view> Split(std::string_view s, char sep);
 /// Splits `s` on `sep`, dropping empty fields.
 std::vector<std::string_view> SplitSkipEmpty(std::string_view s, char sep);
 
-/// Joins `parts` with `sep`.
-std::string Join(const std::vector<std::string>& parts, std::string_view sep);
-std::string Join(const std::vector<std::string_view>& parts,
-                 std::string_view sep);
-
 /// Removes ASCII whitespace from both ends.
 std::string_view Trim(std::string_view s);
 
@@ -29,7 +24,6 @@ std::string ToLower(std::string_view s);
 std::string ToUpper(std::string_view s);
 
 bool StartsWith(std::string_view s, std::string_view prefix);
-bool EndsWith(std::string_view s, std::string_view suffix);
 
 /// Case-insensitive ASCII equality.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
@@ -40,10 +34,6 @@ std::optional<uint64_t> ParseUint64(std::string_view s);
 
 /// Parses a double via strtod; rejects trailing junk.
 std::optional<double> ParseDouble(std::string_view s);
-
-/// Replaces every occurrence of `from` (non-empty) with `to`.
-std::string ReplaceAll(std::string_view s, std::string_view from,
-                       std::string_view to);
 
 /// True if `c` is an ASCII decimal digit. (std::isdigit has UB for
 /// negative chars; these helpers are branch-cheap and safe.)

@@ -99,14 +99,6 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ParallelFor(ThreadPool& pool, size_t begin, size_t end,
-                 const std::function<void(size_t)>& body) {
-  ParallelForShards(pool, begin, end,
-                    [&body](size_t /*shard*/, size_t lo, size_t hi) {
-                      for (size_t i = lo; i < hi; ++i) body(i);
-                    });
-}
-
 void ParallelForShards(
     ThreadPool& pool, size_t begin, size_t end,
     const std::function<void(size_t shard, size_t lo, size_t hi)>& body) {

@@ -47,16 +47,10 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Runs body(i) for i in [begin, end) across `pool`, splitting the range
-/// into contiguous shards (one per thread, large enough to amortize
-/// dispatch). Blocks until all iterations complete. `body` must be safe to
-/// invoke concurrently for distinct i.
-void ParallelFor(ThreadPool& pool, size_t begin, size_t end,
-                 const std::function<void(size_t)>& body);
-
-/// Shard-wise variant: body(shard_index, begin, end) once per shard.
-/// Lets callers keep per-shard state (e.g., an Rng fork) without
-/// per-iteration overhead.
+/// Splits [begin, end) into contiguous shards across `pool` and runs
+/// body(shard_index, lo, hi) once per shard, so callers keep per-shard
+/// state without per-iteration overhead. Blocks until every shard is
+/// done; `body` must be safe to invoke concurrently for distinct shards.
 void ParallelForShards(
     ThreadPool& pool, size_t begin, size_t end,
     const std::function<void(size_t shard, size_t lo, size_t hi)>& body);

@@ -52,9 +52,11 @@ TEST(PageGenTest, PagesCarryExtractableIdentifiers) {
     expected.insert(m->entity);
   }
   std::set<EntityId> extracted;
+  std::string text;
   web.GeneratePages(0, [&](const Page& page, const PageTruth&) {
-    for (EntityId id :
-         MatchPage(matcher, html::ExtractVisibleText(page.html))) {
+    text.clear();
+    html::ExtractVisibleTextInto(page.html, &text);
+    for (EntityId id : MatchPage(matcher, text)) {
       extracted.insert(id);
     }
   });

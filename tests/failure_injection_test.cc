@@ -12,7 +12,6 @@
 #include "extract/href_extractor.h"
 #include "extract/isbn_extractor.h"
 #include "extract/phone_extractor.h"
-#include "html/dom.h"
 #include "html/text_extract.h"
 #include "html/tokenizer.h"
 #include "util/rng.h"
@@ -40,6 +39,21 @@ std::vector<HrefMatch> ExtractHrefs(std::string_view page_html) {
   ExtractHrefsInto(page_html, &scratch,
                    [&](const HrefMatch& m) { out.push_back(m); });
   return out;
+}
+
+// Drains the materializing tokenizer; returns the token count.
+size_t CountTokens(std::string_view input) {
+  html::Tokenizer tokenizer(input);
+  html::Token token;
+  size_t n = 0;
+  while (tokenizer.Next(&token)) ++n;
+  return n;
+}
+
+std::string VisibleText(std::string_view page_html) {
+  std::string text;
+  html::ExtractVisibleTextInto(page_html, &text);
+  return text;
 }
 
 // Random byte mutations over a real rendered page.
@@ -75,11 +89,8 @@ TEST_P(MutatedPageTest, PipelineSurvivesRandomCorruption) {
     }
   }
   // None of these may crash; outputs must stay well-formed.
-  const auto tokens = html::Tokenizer::TokenizeAll(page);
-  (void)tokens;
-  const html::Document doc = html::ParseDocument(page);
-  (void)doc;
-  const std::string text = html::ExtractVisibleText(page);
+  (void)CountTokens(page);
+  const std::string text = VisibleText(page);
   for (const PhoneMatch& m : ExtractPhones(text)) {
     EXPECT_TRUE(IsValidNanp(m.digits));
   }
@@ -101,9 +112,8 @@ TEST_P(RandomBytesTest, ParsersNeverCrashOnGarbage) {
   Rng rng(GetParam());
   std::string garbage(2048, '\0');
   for (char& c : garbage) c = static_cast<char>(rng.Uniform(256));
-  (void)html::Tokenizer::TokenizeAll(garbage);
-  (void)html::ParseDocument(garbage);
-  (void)html::ExtractVisibleText(garbage);
+  (void)CountTokens(garbage);
+  (void)VisibleText(garbage);
   (void)ExtractPhones(garbage);
   (void)ExtractIsbns(garbage);
   (void)ExtractHrefs(garbage);
@@ -116,12 +126,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomBytesTest,
                          ::testing::Range<uint64_t>(50, 66));
 
 TEST(PathologicalInputTest, DeepNestingAndLongRuns) {
-  // 20k unclosed divs: the DOM builder must not blow the stack on build.
+  // 20k unclosed divs: one token per tag, and the text survives the
+  // depth.
   std::string deep;
   for (int i = 0; i < 20000; ++i) deep += "<div>";
   deep += "x";
-  const html::Document doc = html::ParseDocument(deep);
-  EXPECT_NE(doc.root, nullptr);
+  EXPECT_EQ(CountTokens(deep), 20001u);
+  EXPECT_NE(VisibleText(deep).find('x'), std::string::npos);
 
   // A megabyte of digits: extractors must reject it quickly (single run).
   const std::string digits(1 << 20, '7');
@@ -130,7 +141,7 @@ TEST(PathologicalInputTest, DeepNestingAndLongRuns) {
 
   // A long run of '<' characters.
   const std::string angles(100000, '<');
-  (void)html::Tokenizer::TokenizeAll(angles);
+  (void)CountTokens(angles);
   SUCCEED();
 }
 
@@ -138,9 +149,8 @@ TEST(PathologicalInputTest, UnterminatedConstructs) {
   for (const char* input :
        {"<!--never closed", "<script>var x=1;", "<a href=\"x",
         "<div attr='unterminated", "&#x", "&#xxxxxxxxxxxx;"}) {
-    (void)html::Tokenizer::TokenizeAll(input);
-    (void)html::ExtractVisibleText(input);
-    (void)html::ParseDocument(input);
+    (void)CountTokens(input);
+    (void)VisibleText(input);
   }
   SUCCEED();
 }

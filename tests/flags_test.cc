@@ -50,6 +50,43 @@ TEST(FlagParserTest, FlagFollowedByFlagKeepsBareSemantics) {
   EXPECT_EQ(args.GetOr("out", ""), "x");
 }
 
+TEST(FlagParserTest, ReadUintFailsClosed) {
+  struct Row {
+    const char* arg;
+    uint64_t min;
+    bool ok;
+    uint16_t want;
+  };
+  for (const Row& row : {Row{"--port=8081", 0, true, 8081},
+                         Row{"--port=0", 0, true, 0},
+                         Row{"--port=65535", 0, true, 65535},
+                         Row{"--port=70000", 0, false, 7},
+                         Row{"--port=abc", 0, false, 7},
+                         Row{"--port=-1", 0, false, 7},
+                         Row{"--port", 0, false, 7},
+                         Row{"--port=0", 1, false, 7},
+                         Row{"--other=3", 1, true, 7}}) {
+    const auto args = Parse({row.arg});
+    uint16_t port = 7;
+    const Status status = args.ReadUint("port", &port, row.min);
+    EXPECT_EQ(status.ok(), row.ok) << row.arg;
+    EXPECT_EQ(port, row.want) << row.arg;
+    if (!row.ok) {
+      EXPECT_TRUE(status.IsInvalidArgument()) << row.arg;
+      EXPECT_NE(status.ToString().find("--port"), std::string::npos)
+          << status.ToString();
+    }
+  }
+  // The field's width caps the range even when `max` asks for more.
+  const auto args = Parse({"--n=4294967296"});
+  uint32_t n = 5;
+  EXPECT_FALSE(args.ReadUint("n", &n, 0, UINT64_MAX).ok());
+  EXPECT_EQ(n, 5u);
+  uint64_t wide = 5;
+  EXPECT_TRUE(args.ReadUint("n", &wide).ok());
+  EXPECT_EQ(wide, 4294967296u);
+}
+
 TEST(FlagParserTest, LastOccurrenceWins) {
   const auto args = Parse({"--n=1", "--n=2"});
   EXPECT_EQ(args.GetUint("n"), 2u);

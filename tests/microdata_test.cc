@@ -204,7 +204,8 @@ TEST(JsonLdVisibleTextTest, JsonLdExcludedFromVisibleText) {
       "{\"telephone\":\"415-555-0134\"}"
       "</script>"
       "<p>today</p>";
-  const std::string text = html::ExtractVisibleText(html);
+  std::string text;
+  html::ExtractVisibleTextInto(html, &text);
   EXPECT_EQ(text.find("415-555-0134"), std::string::npos) << text;
   EXPECT_NE(text.find("call us"), std::string::npos);
   EXPECT_NE(text.find("today"), std::string::npos);
@@ -218,7 +219,8 @@ TEST(JsonLdVisibleTextTest, UnterminatedLdJsonScriptAtEof) {
       "<p>intro</p>"
       "<script type=\"application/ld+json\">"
       "{\"telephone\":\"415-555-0134\"";
-  const std::string text = html::ExtractVisibleText(html);
+  std::string text;
+  html::ExtractVisibleTextInto(html, &text);
   EXPECT_EQ(text.find("415-555-0134"), std::string::npos) << text;
   EXPECT_EQ(text.find("telephone"), std::string::npos) << text;
   EXPECT_NE(text.find("intro"), std::string::npos);

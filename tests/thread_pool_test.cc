@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <vector>
 
 namespace wsd {
@@ -52,23 +51,16 @@ TEST(ThreadPoolTest, ZeroSelectsHardwareConcurrency) {
   EXPECT_GE(pool.num_threads(), 1u);
 }
 
-TEST(ParallelForTest, TouchesEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> touched(1000);
-  ParallelFor(pool, 0, touched.size(),
-              [&touched](size_t i) { touched[i].fetch_add(1); });
-  for (size_t i = 0; i < touched.size(); ++i) {
-    EXPECT_EQ(touched[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ParallelForTest, EmptyAndSingleRanges) {
+TEST(ParallelForShardsTest, EmptyAndSingleRanges) {
   ThreadPool pool(2);
   std::atomic<int> count{0};
-  ParallelFor(pool, 5, 5, [&](size_t) { count.fetch_add(1); });
+  ParallelForShards(pool, 5, 5,
+                    [&](size_t, size_t, size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 0);
-  ParallelFor(pool, 5, 6, [&](size_t i) {
-    EXPECT_EQ(i, 5u);
+  ParallelForShards(pool, 5, 6, [&](size_t shard, size_t lo, size_t hi) {
+    EXPECT_EQ(shard, 0u);
+    EXPECT_EQ(lo, 5u);
+    EXPECT_EQ(hi, 6u);
     count.fetch_add(1);
   });
   EXPECT_EQ(count.load(), 1);
@@ -91,17 +83,6 @@ TEST(ParallelForShardsTest, ShardsPartitionTheRange) {
     expected_lo = hi;
   }
   EXPECT_EQ(expected_lo, 250u);
-}
-
-TEST(ParallelForTest, ComputesCorrectSum) {
-  ThreadPool pool(3);
-  std::vector<int64_t> values(10000);
-  std::iota(values.begin(), values.end(), 0);
-  std::atomic<int64_t> total{0};
-  ParallelFor(pool, 0, values.size(), [&](size_t i) {
-    total.fetch_add(values[i], std::memory_order_relaxed);
-  });
-  EXPECT_EQ(total.load(), 10000LL * 9999 / 2);
 }
 
 }  // namespace

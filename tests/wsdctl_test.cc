@@ -449,7 +449,9 @@ TEST(WsdctlTest, MalformedNumericFlagsAreUsageErrors) {
         std::pair{spread + "--scale -3", "--scale"},
         std::pair{spread + "--entities 4294967696", "--entities"},
         std::pair{std::string("domains --entities 5000000000"),
-                  "--entities"}}) {
+                  "--entities"},
+        std::pair{std::string("bootstrap --seeds abc"), "--seeds"},
+        std::pair{std::string("bootstrap --seeds 0"), "--seeds"}}) {
     const std::string command =
         CliPath() + " " + args + " --out " + out + " > /dev/null 2> " + log;
     EXPECT_EQ(WEXITSTATUS(std::system(command.c_str())), 2) << args;

@@ -57,6 +57,9 @@ Rules (ids in brackets, each documented in docs/STATIC_ANALYSIS.md):
                         PT_GUARDED_BY annotation. Deliberately unguarded
                         fields must say why in an immediately preceding
                         `// unguarded: <reason>` comment.
+  [orphan-header]       A src/ header that no file in src/, tools/, bench/,
+                        examples/ or perfbench/ includes, its own .cc not
+                        counting. Code only tests reach is dead weight.
 
 Usage:
   tools/wsd_lint.py [--root REPO] [--update-frozen] [--self-test] [-q]
@@ -664,6 +667,34 @@ def check_frozen(root: str, findings, update: bool) -> None:
 
 
 # --------------------------------------------------------------------------
+# Rule: orphan-header
+# --------------------------------------------------------------------------
+
+# Files whose includes keep a src/ header alive. tests/ and fuzz/ are left
+# out on purpose: a header only they include has no production caller.
+INCLUDER_DIRS = ("src", "tools", "bench", "examples", "perfbench")
+QUOTED_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.M)
+
+
+def check_orphan_headers(root: str, findings):
+    included = set()
+    for rel in iter_files(root, INCLUDER_DIRS, (".h", ".cc", ".cpp")):
+        rel = rel.replace(os.sep, "/")
+        for m in QUOTED_INCLUDE_RE.finditer(read(root, rel)):
+            header = m.group(1)
+            if rel != "src/" + header[:-len(".h")] + ".cc":
+                included.add(header)
+    for rel in iter_files(root, LIBRARY_DIRS, (".h",)):
+        header = rel.replace(os.sep, "/").split("/", 1)[1]
+        if header not in included:
+            findings.append(Finding(
+                rel, 1, "orphan-header",
+                "no file in src/, tools/, bench/, examples/ or perfbench/ "
+                "includes this header (its own .cc does not count); delete "
+                "it, or call it from production code"))
+
+
+# --------------------------------------------------------------------------
 # Driver + self-test
 # --------------------------------------------------------------------------
 
@@ -678,14 +709,15 @@ def run_lint(root: str, update_frozen: bool = False):
     check_attr_switch(root, findings)
     check_raw_concurrency(root, findings)
     check_guarded_fields(root, findings)
+    check_orphan_headers(root, findings)
     check_frozen(root, findings, update_frozen)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
 
 
 SELF_TEST_CASES = {
-    # rule id -> (relative path, file contents that must trigger it)
-    "discarded-status": ("src/util/bad_status.cc", """
+    # rule id -> {relative path: file contents}; the files must trigger it
+    "discarded-status": {"src/util/bad_status.cc": """
 #include "util/csv.h"
 namespace wsd {
 void Leak() {
@@ -694,8 +726,8 @@ void Leak() {
   (void)w.Close();
 }
 }  // namespace wsd
-"""),
-    "missing-nodiscard": ("src/util/bad_decl.h", """
+"""},
+    "missing-nodiscard": {"src/util/bad_decl.h": """
 #ifndef WSD_UTIL_BAD_DECL_H_
 #define WSD_UTIL_BAD_DECL_H_
 #include "util/status.h"
@@ -703,32 +735,32 @@ namespace wsd {
 Status UnannotatedThing(int x);
 }
 #endif  // WSD_UTIL_BAD_DECL_H_
-"""),
-    "rng-discipline": ("src/util/bad_rng.cc", """
+"""},
+    "rng-discipline": {"src/util/bad_rng.cc": """
 #include <cstdlib>
 #include <ctime>
 namespace wsd {
 int Roll() { srand(time(nullptr)); return std::rand(); }
 }
-"""),
-    "stdio-in-library": ("src/util/bad_stdio.cc", """
+"""},
+    "stdio-in-library": {"src/util/bad_stdio.cc": """
 #include <iostream>
 namespace wsd {
 void Shout() { std::cout << "hi\\n"; printf("hi\\n"); }
 }
-"""),
-    "using-namespace": ("src/util/bad_using.h", """
+"""},
+    "using-namespace": {"src/util/bad_using.h": """
 #ifndef WSD_UTIL_BAD_USING_H_
 #define WSD_UTIL_BAD_USING_H_
 using namespace std;
 #endif  // WSD_UTIL_BAD_USING_H_
-"""),
-    "include-guard": ("src/util/bad_guard.h", """
+"""},
+    "include-guard": {"src/util/bad_guard.h": """
 #ifndef TOTALLY_WRONG_GUARD_H
 #define TOTALLY_WRONG_GUARD_H
 #endif
-"""),
-    "raw-concurrency": ("src/util/bad_raw_mutex.cc", """
+"""},
+    "raw-concurrency": {"src/util/bad_raw_mutex.cc": """
 #include <mutex>
 namespace wsd {
 std::mutex g_mu;
@@ -737,8 +769,8 @@ int Locked() {
   return 1;
 }
 }  // namespace wsd
-"""),
-    "guarded-field": ("src/util/bad_guarded.h", """
+"""},
+    "guarded-field": {"src/util/bad_guarded.h": """
 #ifndef WSD_UTIL_BAD_GUARDED_H_
 #define WSD_UTIL_BAD_GUARDED_H_
 #include "util/mutex.h"
@@ -752,13 +784,13 @@ class Tally {
 };
 }  // namespace wsd
 #endif  // WSD_UTIL_BAD_GUARDED_H_
-"""),
-    "frozen-oracle": ("src/util/bad_frozen.cc", """
+"""},
+    "frozen-oracle": {"src/util/bad_frozen.cc": """
 // WSD_FROZEN_BEGIN(self_test_region)
 int tampered = 1;
 // WSD_FROZEN_END(self_test_region)
-"""),
-    "attr-switch": ("src/core/bad_attr_switch.cc", """
+"""},
+    "attr-switch": {"src/core/bad_attr_switch.cc": """
 #include "core/domains.h"
 namespace wsd {
 int MentionWeight(Attribute attr) {
@@ -772,8 +804,8 @@ int MentionWeight(Attribute attr) {
   }
 }
 }  // namespace wsd
-"""),
-    "simd-confinement": ("src/html/bad_simd.cc", """
+"""},
+    "simd-confinement": {"src/html/bad_simd.cc": """
 #include <immintrin.h>
 namespace wsd {
 int CountLt(const char* p) {
@@ -781,49 +813,95 @@ int CountLt(const char* p) {
   return _mm_movemask_epi8(block);
 }
 }
-"""),
+"""},
+    "orphan-header": {
+        "src/util/orphan.h": """
+#ifndef WSD_UTIL_ORPHAN_H_
+#define WSD_UTIL_ORPHAN_H_
+int Orphan();
+#endif  // WSD_UTIL_ORPHAN_H_
+""",
+        "src/util/orphan.cc": """
+#include "util/orphan.h"
+int Orphan() { return 1; }
+"""},
+}
+
+# rule id -> {relative path: file contents} that must lint clean: the
+# near misses each rule has to let through.
+SELF_TEST_CLEAN_CASES = {
+    "orphan-header": {
+        "src/util/bench_only.h": """
+#ifndef WSD_UTIL_BENCH_ONLY_H_
+#define WSD_UTIL_BENCH_ONLY_H_
+int BenchOnly();
+#endif  // WSD_UTIL_BENCH_ONLY_H_
+""",
+        "src/util/bench_only.cc": """
+#include "util/bench_only.h"
+int BenchOnly() { return 1; }
+""",
+        "bench/bench_uses_it.cc": """
+#include "util/bench_only.h"
+int main() { return BenchOnly(); }
+"""},
 }
 
 
+def write_files(root: str, files) -> None:
+    for rel, contents in files.items():
+        path = os.path.join(root, rel)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(contents)
+
+
+def support_tree(repo_root: str, tmp: str) -> None:
+    """Minimal tree: the status/csv headers the cases include, a tool that
+    includes them, and an up-to-date lock file so only the seeded issue
+    fires."""
+    files = {"tools/lint_support.cc": '#include "util/csv.h"\n'}
+    for support in ("src/util/status.h", "src/util/statusor.h",
+                    "src/util/csv.h"):
+        files[support] = read(repo_root, support)
+    write_files(tmp, files)
+    run_lint(tmp, update_frozen=True)  # writes lock
+
+
 def self_test(repo_root: str) -> int:
-    """Each seeded violation must be detected, and a pristine mini-tree must
-    lint clean. Runs in a temp copy; the real tree is untouched."""
+    """Each seeded violation must be detected, each near miss and a
+    pristine mini-tree must lint clean. Runs in a temp copy; the real tree
+    is untouched."""
     failures = []
-    for rule, (rel, contents) in sorted(SELF_TEST_CASES.items()):
+    cases = [(rule, files, True)
+             for rule, files in sorted(SELF_TEST_CASES.items())]
+    cases += [(rule, files, False)
+              for rule, files in sorted(SELF_TEST_CLEAN_CASES.items())]
+    for rule, files, must_fire in cases:
         with tempfile.TemporaryDirectory(prefix="wsd_lint_selftest_") as tmp:
-            # Minimal tree: the status/csv headers the cases include, plus
-            # an up-to-date lock file so only the seeded issue fires.
-            for support in ("src/util/status.h", "src/util/statusor.h",
-                            "src/util/csv.h"):
-                src = os.path.join(repo_root, support)
-                dst = os.path.join(tmp, support)
-                os.makedirs(os.path.dirname(dst), exist_ok=True)
-                with open(src, encoding="utf-8") as f:
-                    data = f.read()
-                with open(dst, "w", encoding="utf-8") as f:
-                    f.write(data)
-            os.makedirs(os.path.join(tmp, "tools"), exist_ok=True)
-            baseline = run_lint(tmp, update_frozen=True)  # writes lock
+            support_tree(repo_root, tmp)
             baseline = run_lint(tmp)
             if baseline:
                 failures.append(f"{rule}: support tree not clean: "
                                 f"{baseline[0]}")
                 continue
-            path = os.path.join(tmp, rel)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            with open(path, "w", encoding="utf-8") as f:
-                f.write(contents)
+            write_files(tmp, files)
             found = run_lint(tmp)
-            if not any(f.rule == rule for f in found):
+            if must_fire and not any(f.rule == rule for f in found):
                 failures.append(
-                    f"{rule}: seeded violation in {rel} was NOT detected "
-                    f"(got: {[str(f) for f in found]})")
+                    f"{rule}: seeded violation in {sorted(files)} was NOT "
+                    f"detected (got: {[str(f) for f in found]})")
+            if not must_fire and found:
+                failures.append(
+                    f"{rule}: clean case {sorted(files)} was flagged: "
+                    f"{[str(f) for f in found]}")
     if failures:
         for f in failures:
             print(f"SELF-TEST FAIL {f}", file=sys.stderr)
         return 1
     print(f"self-test: all {len(SELF_TEST_CASES)} seeded violations "
-          "detected", file=sys.stderr)
+          f"detected, all {len(SELF_TEST_CLEAN_CASES)} clean cases pass",
+          file=sys.stderr)
     return 0
 
 

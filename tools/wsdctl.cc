@@ -271,6 +271,12 @@ int CmdBootstrap(const Args& args, const StudyOptions& options) {
   Domain domain;
   Attribute attr;
   if (!ParseDomainAttr(args, "phone", &domain, &attr)) return 2;
+  uint32_t seed_count = 1;
+  if (const Status status = args.ReadUint("seeds", &seed_count, 1);
+      !status.ok()) {
+    std::cerr << status << "\n";
+    return 2;
+  }
   Study study(options);
   auto scan = study.RunScan(domain, attr);
   if (!scan.ok()) return Fail(scan.status());
@@ -278,12 +284,6 @@ int CmdBootstrap(const Args& args, const StudyOptions& options) {
       scan->table, options.ScaledEntities());
   const auto diameter = ExactDiameter(graph, 20000, &study.pool());
   Rng rng(options.seed ^ 0xb0075ULL);
-  uint32_t seed_count = 1;
-  if (auto v = args.Get("seeds")) {
-    if (auto n = ParseUint64(*v); n && *n > 0) {
-      seed_count = static_cast<uint32_t>(*n);
-    }
-  }
   auto stats = BootstrapRandomSeeds(graph, seed_count, 25, rng);
   if (!stats.ok()) return Fail(stats.status());
   std::cout << "graph diameter " << diameter.diameter << " (bound: at most "

@@ -11,12 +11,15 @@
 //                        recommended: restarts then skip their scans)
 //   --entities=N --seed=N --scale=F --threads=N
 //                        base StudyOptions (same reader and meaning as
-//                        wsdctl; a malformed value exits 2 before bind)
+//                        wsdctl)
 //   --cache-bytes=N      scan-cache byte budget (default 256 MiB)
 //   --response-cache-bytes=N
 //                        rendered-response memo budget (default 64 MiB)
 //   --conn-threads=N     concurrent connections served (default 16)
 //   --read-timeout-ms=N  idle/read socket timeout (default 5000)
+//
+// A malformed or out-of-range numeric flag exits 2, naming the flag,
+// before the server binds.
 //
 // Shutdown: SIGINT or SIGTERM drains in-flight requests and exits 0.
 
@@ -46,6 +49,11 @@ void OnSignal(int) {
   (void)ignored;
 }
 
+int UsageError(const Status& status) {
+  std::fprintf(stderr, "wsdd: %s\n", status.ToString().c_str());
+  return 2;
+}
+
 int Main(int argc, char** argv) {
   const FlagParser args(argc, argv);
   if (args.Has("help")) {
@@ -60,41 +68,34 @@ int Main(int argc, char** argv) {
   }
 
   // Resolve SIMD dispatch before any request runs: the startup log then
-  // records the tier (and any WSD_FORCE_* override), and the
+  // records the tier (and a WSD_FORCE_SCALAR override), and the
   // wsd.scan.simd_tier gauge is set for /metrics from the first scrape.
   simd::ActiveTier();
 
   const auto parsed = StudyOptions::FromFlags(args);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "wsdd: %s\n", parsed.status().ToString().c_str());
-    return 2;
-  }
+  if (!parsed.ok()) return UsageError(parsed.status());
   const StudyOptions& base = *parsed;
 
   size_t cache_bytes = 256u * 1024 * 1024;
-  if (auto v = args.GetUint("cache-bytes")) {
-    cache_bytes = static_cast<size_t>(*v);
-  }
-  ScanHandleCache cache(base, cache_bytes);
   ServeContext ctx;
-  ctx.base = base;
-  ctx.cache = &cache;
-  if (auto v = args.GetUint("response-cache-bytes")) {
-    ctx.responses.set_max_bytes(static_cast<size_t>(*v));
-  }
-
+  size_t response_cache_bytes = ctx.responses.max_bytes();
   ServerOptions server_options;
   server_options.port = 8080;
-  if (auto v = args.GetUint("port")) {
-    server_options.port = static_cast<uint16_t>(*v);
-  }
   server_options.bind_address = args.GetOr("address", "127.0.0.1");
-  if (auto v = args.GetUint("conn-threads"); v && *v > 0) {
-    server_options.connection_threads = static_cast<uint32_t>(*v);
+  for (const Status& status :
+       {args.ReadUint("cache-bytes", &cache_bytes),
+        args.ReadUint("response-cache-bytes", &response_cache_bytes),
+        args.ReadUint("port", &server_options.port),
+        args.ReadUint("conn-threads", &server_options.connection_threads, 1),
+        args.ReadUint("read-timeout-ms", &server_options.read_timeout_ms,
+                      1)}) {
+    if (!status.ok()) return UsageError(status);
   }
-  if (auto v = args.GetUint("read-timeout-ms"); v && *v > 0) {
-    server_options.read_timeout_ms = static_cast<uint32_t>(*v);
-  }
+
+  ScanHandleCache cache(base, cache_bytes);
+  ctx.base = base;
+  ctx.cache = &cache;
+  ctx.responses.set_max_bytes(response_cache_bytes);
 
   if (::pipe(g_shutdown_pipe) != 0) {
     WSD_LOG(kError) << "pipe() failed; cannot install signal handlers";
