@@ -14,7 +14,7 @@
 int main(int argc, char** argv) {
   const wsd::bench::MetricsExport metrics_export(argc, argv, "bench_ext_bootstrap");
   using namespace wsd;
-  const StudyOptions options = bench::Options();
+  const StudyOptions options = bench::Options(argc, argv);
   bench::PrintHeader(
       "Extension: bootstrapping set-expansion on the entity-site graphs",
       "§5.2-5.3 (the algorithm the diameter bound is about)", options);

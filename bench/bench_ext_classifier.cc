@@ -11,11 +11,12 @@
 #include "corpus/web_cache.h"
 #include "extract/review_detector.h"
 #include "html/text_extract.h"
+#include "util/string_util.h"
 
 int main(int argc, char** argv) {
   const wsd::bench::MetricsExport metrics_export(argc, argv, "bench_ext_classifier");
   using namespace wsd;
-  const StudyOptions options = bench::Options();
+  const StudyOptions options = bench::Options(argc, argv);
   bench::PrintHeader("Extension: review classifier operating curve",
                      "§3.2 (Naive Bayes review detection), §3.5", options);
 
@@ -89,8 +90,8 @@ int main(int argc, char** argv) {
   }
   table.Print(std::cout);
   std::cout << "\n(" << pages << " held-out pages)\n";
-  bench::PrintAnchor("detector quality at the default threshold (0)",
-                    "\"high accuracy\" (§3.5)",
-                    StrFormat("F1 = %.1f%%", f1_at_zero * 100.0));
+  PrintAnchor("detector quality at the default threshold (0)",
+              "\"high accuracy\" (§3.5)",
+              StrFormat("F1 = %.1f%%", f1_at_zero * 100.0), std::cout);
   return 0;
 }

@@ -11,11 +11,12 @@
 #include "bench_util.h"
 #include "core/corroboration.h"
 #include "core/coverage.h"
+#include "util/string_util.h"
 
 int main(int argc, char** argv) {
   const wsd::bench::MetricsExport metrics_export(argc, argv, "bench_ext_corroboration");
   using namespace wsd;
-  const StudyOptions options = bench::Options();
+  const StudyOptions options = bench::Options(argc, argv);
   bench::PrintHeader("Extension: accuracy value of k-corroboration",
                      "§2 (redundancy motivation), §3.3", options);
 
@@ -57,11 +58,12 @@ int main(int argc, char** argv) {
   const double acc1 = last1.correct_fraction / last1.covered_fraction;
   const double acc3 = last3.correct_fraction / last3.covered_fraction;
   std::cout << "\n";
-  bench::PrintAnchor(
+  PrintAnchor(
       "conditional accuracy of resolved entities, full web",
       "3-source voting beats single-source",
       StrFormat(">=3 src: %.2f%% vs >=1 src: %.2f%%", acc3 * 100.0,
-                acc1 * 100.0));
+                acc1 * 100.0),
+      std::cout);
   std::cout << "(the catch: reaching 3-source coverage for most entities "
                "requires thousands of\ntail sites — Figures 1-3's k>1 "
                "curves — which is precisely the paper's case for\n"

@@ -11,11 +11,12 @@
 #include <iostream>
 
 #include "bench_util.h"
+#include "util/string_util.h"
 
 int main(int argc, char** argv) {
   const wsd::bench::MetricsExport metrics_export(argc, argv, "bench_ext_false_matches");
   using namespace wsd;
-  const StudyOptions options = bench::Options();
+  const StudyOptions options = bench::Options(argc, argv);
   bench::PrintHeader("Extension: effect of false identifier matches",
                      "§3.5 Discussion on Errors in Methodology", options);
 
@@ -67,11 +68,12 @@ int main(int argc, char** argv) {
   table.Print(std::cout);
 
   std::cout << "\n";
-  bench::PrintAnchor(
+  PrintAnchor(
       "false matches only inflate head coverage (never deflate)",
       "over-estimation only",
       inflation_monotone ? "monotone inflation confirmed"
-                         : "NOT monotone (unexpected)");
+                         : "NOT monotone (unexpected)",
+      std::cout);
   std::cout << "(so the paper's tail-spread conclusions are conservative "
                "with respect to this\nerror source, as §3.5 argues)\n";
   return 0;

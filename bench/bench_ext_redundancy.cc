@@ -13,7 +13,7 @@
 int main(int argc, char** argv) {
   const wsd::bench::MetricsExport metrics_export(argc, argv, "bench_ext_redundancy");
   using namespace wsd;
-  const StudyOptions options = bench::Options();
+  const StudyOptions options = bench::Options(argc, argv);
   bench::PrintHeader("Extension: redundancy of structured data",
                      "§1 conclusion 3, §5 motivation", options);
 

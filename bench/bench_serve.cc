@@ -13,6 +13,8 @@
 //        --entities=N --seed=N --scale=F (in-process corpus; default
 //                      2000 entities so one core sustains >1k QPS)
 //        --metrics_out=BENCH_serve.json (commit as the baseline)
+// A malformed numeric flag (--requests below 1, --scale not positive, a
+// non-number) exits 2 naming the flag.
 
 #include <algorithm>
 #include <cstdint>
@@ -27,6 +29,7 @@
 #include "serve/http_client.h"
 #include "serve/scan_cache.h"
 #include "serve/server.h"
+#include "util/string_util.h"
 #include "util/timer.h"
 
 namespace wsd {
@@ -104,14 +107,16 @@ int Main(int argc, char** argv) {
   const bool smoke = flags.Has("smoke");
 
   StudyOptions options = bench::Options(argc, argv);
-  if (!flags.Has("entities") && std::getenv("WSD_ENTITIES") == nullptr) {
+  if (!flags.Has("entities")) {
     // Small default corpus: the bench measures the serving layer, not
     // the scan, and one core must sustain >1k QPS on a warm cache.
     options.num_entities = 2000;
   }
   uint32_t per_client = smoke ? 50 : 400;
-  if (auto v = flags.GetUint("requests"); v && *v > 0) {
-    per_client = static_cast<uint32_t>(*v);
+  if (const Status status = flags.ReadUint("requests", &per_client, 1);
+      !status.ok()) {
+    std::cerr << status << "\n";
+    return 2;
   }
   const std::vector<uint32_t> levels =
       smoke ? std::vector<uint32_t>{1, 8} : std::vector<uint32_t>{1, 8, 64};
@@ -198,8 +203,8 @@ int Main(int argc, char** argv) {
         .Set(r.p99_ms);
     if (r.failures > 0 || r.requests == 0 || r.qps <= 0) ok = false;
     if (clients == 8) {
-      bench::PrintAnchor("warm QPS at 8 clients", ">= 1000",
-                         StrFormat("%.0f", r.qps));
+      PrintAnchor("warm QPS at 8 clients", ">= 1000",
+                  StrFormat("%.0f", r.qps), std::cout);
     }
   }
 

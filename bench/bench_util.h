@@ -1,6 +1,7 @@
 #ifndef WSD_BENCH_BENCH_UTIL_H_
 #define WSD_BENCH_BENCH_UTIL_H_
 
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -10,36 +11,21 @@
 #include "core/study.h"
 #include "util/flags.h"
 #include "util/metrics.h"
-#include "util/string_util.h"
 
 namespace wsd {
 namespace bench {
 
-/// Study options shared by every figure bench: defaults plus the
-/// WSD_SCALE / WSD_ENTITIES / WSD_SEED / WSD_THREADS environment knobs.
-/// Pass argc/argv to additionally honor the --entities / --seed /
-/// --scale / --threads command-line flags (flags win over env vars).
-inline StudyOptions Options(int argc = 0, char* const* argv = nullptr) {
-  StudyOptions options = StudyOptions::FromEnv();
-  if (argv == nullptr) return options;
-  const FlagParser flags(argc, argv);
-  if (auto v = flags.Get("entities")) {
-    if (auto n = ParseUint64(*v)) {
-      options.num_entities = static_cast<uint32_t>(*n);
-    }
+/// Study options from the bench's --entities / --seed / --scale /
+/// --threads / --artifacts flags, read by StudyOptions::FromFlags as in
+/// wsdctl and wsdd. A malformed flag prints the error, which names the
+/// flag, and exits 2.
+inline StudyOptions Options(int argc, char* const* argv) {
+  auto options = StudyOptions::FromFlags(FlagParser(argc, argv));
+  if (!options.ok()) {
+    std::cerr << options.status() << "\n";
+    std::exit(2);
   }
-  if (auto v = flags.Get("seed")) {
-    if (auto n = ParseUint64(*v)) options.seed = *n;
-  }
-  if (auto v = flags.Get("scale")) {
-    if (auto f = ParseDouble(*v); f && *f > 0) options.scale = *f;
-  }
-  if (auto v = flags.Get("threads")) {
-    if (auto n = ParseUint64(*v)) {
-      options.threads = static_cast<uint32_t>(*n);
-    }
-  }
-  return options;
+  return *std::move(options);
 }
 
 /// Prints the standard run banner so bench output is self-describing.
@@ -53,20 +39,12 @@ inline void PrintHeader(const std::string& experiment,
             << "\n\n";
 }
 
-/// Prints one "paper vs measured" anchor line. `ok` tolerance is decided
-/// by the caller; this only formats.
-inline void PrintAnchor(const std::string& what, const std::string& paper,
-                        const std::string& measured) {
-  std::cout << "anchor: " << what << "  [paper: " << paper
-            << " | measured: " << measured << "]\n";
-}
-
 /// RAII handler for the benches' --metrics_out flag: construct first
 /// thing in main(); if `--metrics_out=<path>` was passed, the destructor
 /// writes `{"bench": <name>, "metrics": <registry JSON>}` to the path
-/// when the bench exits. Convention (EXPERIMENTS.md): point it at
-/// `BENCH_<figure>.json` next to the bench's TSV output. Without the
-/// flag this is a no-op, so bench output and timing are unchanged.
+/// when the bench exits (e.g. `BENCH_serve.json` from bench_serve).
+/// Without the flag this is a no-op, so bench output and timing are
+/// unchanged.
 class MetricsExport {
  public:
   /// Parses --metrics_out from the bench's argv; `bench_name` labels the

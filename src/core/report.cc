@@ -47,6 +47,12 @@ std::string FormatF(double value, int decimals) {
   return StrFormat("%.*f", decimals, value);
 }
 
+void PrintAnchor(const std::string& what, const std::string& paper,
+                 const std::string& measured, std::ostream& out) {
+  out << "anchor: " << what << "  [paper: " << paper
+      << " | measured: " << measured << "]\n";
+}
+
 void PrintCoverageCurve(const std::string& title, const CoverageCurve& curve,
                         std::ostream& out) {
   out << title << "\n";

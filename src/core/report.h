@@ -34,6 +34,12 @@ std::string FormatPct(double fraction);
 /// Fixed-precision double.
 std::string FormatF(double value, int decimals = 2);
 
+/// One "paper vs measured" anchor line:
+/// `anchor: <what>  [paper: <paper> | measured: <measured>]`. Whether
+/// the two agree is the reader's call; this only formats.
+void PrintAnchor(const std::string& what, const std::string& paper,
+                 const std::string& measured, std::ostream& out);
+
 /// Prints a k-coverage curve as rows of t x k columns (the textual
 /// rendering of one panel of Figs 1-4a).
 void PrintCoverageCurve(const std::string& title, const CoverageCurve& curve,

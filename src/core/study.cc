@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 
 #include "extract/attribute_registry.h"
 #include "util/logging.h"
@@ -12,52 +11,8 @@
 
 namespace wsd {
 
-namespace {
-
-double EnvDouble(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  auto parsed = ParseDouble(raw);
-  if (!parsed.has_value()) {
-    WSD_LOG(kWarning) << "ignoring unparseable " << name << "=" << raw;
-    return fallback;
-  }
-  return *parsed;
-}
-
-uint64_t EnvUint(const char* name, uint64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  auto parsed = ParseUint64(raw);
-  if (!parsed.has_value()) {
-    WSD_LOG(kWarning) << "ignoring unparseable " << name << "=" << raw;
-    return fallback;
-  }
-  return *parsed;
-}
-
-}  // namespace
-
-StudyOptions StudyOptions::FromEnv() {
-  StudyOptions options;
-  options.scale = EnvDouble("WSD_SCALE", options.scale);
-  options.num_entities = static_cast<uint32_t>(
-      EnvUint("WSD_ENTITIES", options.num_entities));
-  options.seed = EnvUint("WSD_SEED", options.seed);
-  options.threads =
-      static_cast<uint32_t>(EnvUint("WSD_THREADS", options.threads));
-  if (const char* dir = std::getenv("WSD_ARTIFACT_DIR"); dir != nullptr) {
-    options.artifact_dir = dir;
-  }
-  if (options.scale <= 0.0) {
-    WSD_LOG(kWarning) << "WSD_SCALE must be positive; using 1.0";
-    options.scale = 1.0;
-  }
-  return options;
-}
-
 StatusOr<StudyOptions> StudyOptions::FromFlags(const FlagParser& flags) {
-  StudyOptions options = FromEnv();
+  StudyOptions options;
   WSD_RETURN_IF_ERROR(flags.ReadUint("entities", &options.num_entities));
   WSD_RETURN_IF_ERROR(flags.ReadUint("seed", &options.seed));
   WSD_RETURN_IF_ERROR(flags.ReadUint("threads", &options.threads));

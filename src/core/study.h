@@ -26,30 +26,27 @@
 
 namespace wsd {
 
-/// Configuration shared by every experiment of the study.
+/// Configuration shared by every experiment of the study. Programs set
+/// it only through FromFlags; there is no environment override.
 struct StudyOptions {
   /// Entities per domain catalog (the paper used millions; analyses are
-  /// scale-stable from ~10^4 up — see tests).
+  /// scale-stable from ~10^4 up — see tests). `--entities`.
   uint32_t num_entities = 20000;
-  uint64_t seed = 42;
-  uint32_t threads = 0;  // 0 = hardware concurrency
-  /// Multiplier on num_entities, num_sites and traffic populations. Set
-  /// WSD_SCALE to raise (or shrink) every experiment uniformly.
+  uint64_t seed = 42;    // `--seed`
+  uint32_t threads = 0;  // `--threads`; 0 = hardware concurrency
+  /// Multiplier on num_entities, num_sites and traffic populations;
+  /// `--scale` raises (or shrinks) every experiment uniformly.
   double scale = 1.0;
-  /// On-disk scan artifact cache (see src/store). Empty disables it:
-  /// scans are then memoized per Study but never persisted. Set via
-  /// `--artifacts=DIR` in wsdctl or WSD_ARTIFACT_DIR.
+  /// On-disk scan artifact cache (see src/store), `--artifacts=DIR`.
+  /// Empty disables it: scans are then memoized per Study but never
+  /// persisted.
   std::string artifact_dir;
 
-  /// Reads WSD_SCALE / WSD_ENTITIES / WSD_SEED / WSD_THREADS /
-  /// WSD_ARTIFACT_DIR from the environment on top of the defaults. A
-  /// malformed variable is logged and ignored.
-  static StudyOptions FromEnv();
-
-  /// FromEnv() overlaid with the `--entities --seed --scale --threads
-  /// --artifacts` flags shared by wsdctl and wsdd. A present but
-  /// malformed flag (not a number, out of range, scale not positive) is
-  /// InvalidArgument naming the flag, never a silent default.
+  /// The defaults above overlaid with the `--entities --seed --scale
+  /// --threads --artifacts` flags shared by wsdctl, wsdd and the benches.
+  /// A present but malformed flag (not a number, out of range, scale not
+  /// positive) is InvalidArgument naming the flag, never a silent
+  /// default.
   [[nodiscard]] static StatusOr<StudyOptions> FromFlags(
       const FlagParser& flags);
 

@@ -232,30 +232,18 @@ void HandleDemand(ServeContext& ctx, const HttpRequest& req,
   StudyOptions options = ctx.base;
   if (!ParseSeedScale(req, &options, resp)) return;
 
-  const std::tuple<int, uint64_t, double> key(static_cast<int>(*site),
-                                              options.seed, options.scale);
-  std::shared_ptr<const Study::ValueStudyResult> result;
-  {
-    MutexLock lock(ctx.demand_mu);
-    auto it = ctx.demand_memo.find(key);
-    if (it != ctx.demand_memo.end()) result = it->second;
-  }
-  if (result == nullptr) {
-    // One thread: a miss builds a throwaway Study, and its pool, on the
-    // connection worker that serves the request. A wider pool would
-    // multiply the threads of every concurrent miss, while the result is
-    // memoized and its bytes do not depend on the thread count.
-    options.threads = 1;
-    Study study(options);
-    auto computed = study.RunValueStudy(*site);
-    if (!computed.ok()) {
-      Fail(resp, 503, computed.status().message());
-      return;
-    }
-    result = std::make_shared<const Study::ValueStudyResult>(
-        std::move(computed).value());
-    MutexLock lock(ctx.demand_mu);
-    ctx.demand_memo.emplace(key, result);
+  // Value studies read traffic logs, not host tables, so nothing here
+  // goes through the scan cache; a repeat of the same target is answered
+  // by the response cache before this handler runs. One thread: the
+  // throwaway Study, and its pool, live on the connection worker that
+  // serves the request. A wider pool would multiply the threads of every
+  // concurrent request, and the bytes do not depend on the thread count.
+  options.threads = 1;
+  Study study(options);
+  const auto result = study.RunValueStudy(*site);
+  if (!result.ok()) {
+    Fail(resp, 503, result.status().message());
+    return;
   }
   const WireFormat format = NegotiateFormat(req);
   resp->content_type = ContentType(format);

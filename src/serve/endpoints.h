@@ -26,9 +26,7 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
-#include <tuple>
 
 #include "core/study.h"
 #include "serve/http.h"
@@ -108,14 +106,6 @@ struct ServeContext {
   /// /setcover, /graph, /demand). /metrics and /healthz are never
   /// cached. unguarded: ResponseCache carries its own mutex.
   ResponseCache responses{64u * 1024 * 1024};
-
-  /// Memo for /demand: value studies do not flow through the scan cache
-  /// (they read traffic logs, not host tables), so repeated queries for
-  /// the same (site, seed, scale) reuse the first run's result.
-  Mutex demand_mu;
-  std::map<std::tuple<int, uint64_t, double>,
-           std::shared_ptr<const Study::ValueStudyResult>>
-      demand_memo GUARDED_BY(demand_mu);
 };
 
 /// Routes one request and fills `resp`. Never throws; every failure maps

@@ -122,16 +122,4 @@ void AppendFormat(std::string* out, const char* fmt, ...) {
   va_end(args);
 }
 
-std::string WithCommas(uint64_t v) {
-  std::string digits = std::to_string(v);
-  std::string out;
-  out.reserve(digits.size() + digits.size() / 3);
-  const size_t n = digits.size();
-  for (size_t i = 0; i < n; ++i) {
-    if (i > 0 && (n - i) % 3 == 0) out.push_back(',');
-    out.push_back(digits[i]);
-  }
-  return out;
-}
-
 }  // namespace wsd

@@ -60,9 +60,6 @@ std::string StrFormat(const char* fmt, ...)
 void AppendFormat(std::string* out, const char* fmt, ...)
     __attribute__((format(printf, 2, 3)));
 
-/// Formats `v` with thousands separators ("1,234,567"); for reports.
-std::string WithCommas(uint64_t v);
-
 }  // namespace wsd
 
 #endif  // WSD_UTIL_STRING_UTIL_H_

@@ -103,30 +103,6 @@ TEST(PageGenSizingTest, HeadSitesUseBiggerPages) {
   }
 }
 
-// ---------- StudyOptions::FromEnv ----------
-
-TEST(StudyOptionsEnvTest, ReadsAndValidatesEnvironment) {
-  setenv("WSD_SCALE", "0.5", 1);
-  setenv("WSD_ENTITIES", "777", 1);
-  setenv("WSD_SEED", "99", 1);
-  setenv("WSD_THREADS", "3", 1);
-  StudyOptions options = StudyOptions::FromEnv();
-  EXPECT_DOUBLE_EQ(options.scale, 0.5);
-  EXPECT_EQ(options.num_entities, 777u);
-  EXPECT_EQ(options.seed, 99u);
-  EXPECT_EQ(options.threads, 3u);
-
-  setenv("WSD_SCALE", "-2", 1);  // invalid: falls back to 1.0
-  EXPECT_DOUBLE_EQ(StudyOptions::FromEnv().scale, 1.0);
-  setenv("WSD_SCALE", "bogus", 1);  // unparseable: default kept
-  EXPECT_DOUBLE_EQ(StudyOptions::FromEnv().scale, 1.0);
-
-  unsetenv("WSD_SCALE");
-  unsetenv("WSD_ENTITIES");
-  unsetenv("WSD_SEED");
-  unsetenv("WSD_THREADS");
-}
-
 // ---------- diameter budget ----------
 
 TEST(DiameterBudgetTest, ExhaustionReturnsLowerBoundInexact) {

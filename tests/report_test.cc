@@ -34,6 +34,13 @@ TEST(FormatTest, FixedPrecision) {
   EXPECT_EQ(FormatF(-1.5, 1), "-1.5");
 }
 
+TEST(FormatTest, AnchorLine) {
+  std::ostringstream out;
+  PrintAnchor("top-10, k=1", "~93%", "91.2%", out);
+  EXPECT_EQ(out.str(),
+            "anchor: top-10, k=1  [paper: ~93% | measured: 91.2%]\n");
+}
+
 TEST(ReportPrintersTest, CoverageCurveRendersAllCells) {
   CoverageCurve curve;
   curve.t_values = {1, 10};

@@ -398,6 +398,31 @@ TEST_F(RoutingTest, ResponseMemoServesIdenticalBytes) {
   EXPECT_EQ(ctx_.responses.GetStats().entries, pre_error.entries);
 }
 
+// /demand runs the value study per request; the response cache is what
+// answers a repeat, so the second identical request is a cache hit.
+TEST_F(RoutingTest, DemandServesValueStudyAndRepeatsFromResponseCache) {
+  StudyOptions options = SmallOptions();
+  options.scale = 0.05;
+  Study study(options);
+  const auto direct = study.RunValueStudy(TrafficSite::kYelp);
+  ASSERT_TRUE(direct.ok()) << direct.status();
+
+  Counter& hits =
+      MetricsRegistry::Global().GetCounter("wsd.serve.response_cache.hits");
+  const uint64_t hits_before = hits.value();
+  const std::string target = "GET /demand?site=yelp&scale=0.05 HTTP/1.1";
+  const HttpResponse first = Handle(target);
+  ASSERT_EQ(first.status, 200) << first.body;
+  EXPECT_EQ(first.content_type, "application/json");
+  EXPECT_EQ(first.body, DemandBody(*direct, WireFormat::kJson));
+  EXPECT_EQ(hits.value(), hits_before);
+
+  const HttpResponse second = Handle(target);
+  ASSERT_EQ(second.status, 200);
+  EXPECT_EQ(second.body, first.body);
+  EXPECT_EQ(hits.value(), hits_before + 1);
+}
+
 TEST(ResponseCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
   ResponseCache cache(1);  // any second entry evicts the older one
   HttpResponse a;

@@ -41,10 +41,13 @@ std::string CliPath() {
   return "";
 }
 
-int RunCli(const std::string& args) {
+// Runs the CLI with stdout sent to `stdout_path`; returns the exit code.
+int RunCli(const std::string& args,
+           const std::string& stdout_path = "/dev/null") {
   const std::string cli = CliPath();
   if (cli.empty()) return -1;
-  const std::string command = cli + " " + args + " > /dev/null 2>&1";
+  const std::string command =
+      cli + " " + args + " > " + stdout_path + " 2>/dev/null";
   const int status = std::system(command.c_str());
   return WEXITSTATUS(status);
 }
@@ -408,10 +411,12 @@ TEST(WsdctlTest, PaperOutputDigestIsPinned) {
   SKIP_WITHOUT_CLI();
   const std::string dir =
       (fs::temp_directory_path() / "wsdctl_paper_digest").string();
+  const std::string log = dir + ".stdout";
   fs::remove_all(dir);
   ASSERT_TRUE(fs::create_directories(dir));
   ASSERT_EQ(RunCli("paper --entities 400 --scale 0.05 --seed 42 --outdir " +
-                   dir),
+                       dir,
+                   log),
             0);
   std::vector<std::string> names;
   for (const auto& entry : fs::directory_iterator(dir)) {
@@ -424,8 +429,26 @@ TEST(WsdctlTest, PaperOutputDigestIsPinned) {
     blob += name + "\n" + std::to_string(bytes.size()) + "\n" + bytes;
   }
   EXPECT_EQ(names.size(), 28u);
+  EXPECT_EQ(std::count_if(names.begin(), names.end(),
+                          [](const std::string& name) {
+                            return name.ends_with(".tsv");
+                          }),
+            28);
   EXPECT_EQ(XxHash64(blob), 0x92510b4698544a94ULL);
   fs::remove_all(dir);
+
+  // After the TSVs, stdout carries the paper-vs-measured anchor lines of
+  // Tables 1-2 and Figs 1-9; at this config every one of them prints.
+  const std::string stdout_text = ReadFile(log);
+  size_t anchors = 0;
+  for (size_t pos = stdout_text.find("anchor: "); pos != std::string::npos;
+       pos = stdout_text.find("anchor: ", pos + 1)) {
+    ++anchors;
+  }
+  EXPECT_EQ(anchors, 23u) << stdout_text;
+  EXPECT_LT(stdout_text.find("fig9_robustness.tsv"),
+            stdout_text.find("anchor: "));
+  std::remove(log.c_str());
 }
 
 // A present but malformed numeric flag is a usage error that names the
@@ -503,6 +526,8 @@ TEST(WsdctlTest, TsvMatchesServedBody) {
 
   const std::string out =
       (fs::temp_directory_path() / "wsdctl_parity.tsv").string();
+  const std::string log =
+      (fs::temp_directory_path() / "wsdctl_parity.stdout").string();
   const std::pair<const char*, const char*> kCases[] = {
       {"spread --domain books --attr isbn", "/spread?domain=books&attr=isbn"},
       {"setcover --domain restaurants --attr homepage",
@@ -513,7 +538,9 @@ TEST(WsdctlTest, TsvMatchesServedBody) {
   for (const auto& [command, target] : kCases) {
     std::remove(out.c_str());
     ASSERT_EQ(RunCli(std::string(command) +
-                     " --entities 400 --scale 0.05 --seed 42 --out " + out),
+                         " --entities 400 --scale 0.05 --seed 42 --out " +
+                         out,
+                     log),
               0)
         << command;
     const auto parsed = ParseHttpRequest(
@@ -525,8 +552,22 @@ TEST(WsdctlTest, TsvMatchesServedBody) {
     ASSERT_EQ(resp.status, 200) << target << ": " << resp.body;
     EXPECT_EQ(resp.content_type, "text/tab-separated-values");
     EXPECT_EQ(ReadFile(out), resp.body) << command;
+    if (std::string(command).starts_with("value")) {
+      // The panels that have no TSV of their own: Fig 6(b)/(d) and the
+      // §4.3.1 step-decay comparison, printed before the --out note.
+      const std::string text = ReadFile(log);
+      for (const char* panel :
+           {"Fig 6(b): relative demand vs rank, search data",
+            "Fig 6(d): relative demand vs rank, browse data",
+            "step decay (zero value once n >= 10) vs inverse-linear",
+            "anchor: step decay shifts value toward the tail"}) {
+        EXPECT_NE(text.find(panel), std::string::npos) << panel << "\n"
+                                                       << text;
+      }
+    }
   }
   std::remove(out.c_str());
+  std::remove(log.c_str());
 }
 
 }  // namespace

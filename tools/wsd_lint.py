@@ -60,6 +60,11 @@ Rules (ids in brackets, each documented in docs/STATIC_ANALYSIS.md):
   [orphan-header]       A src/ header that no file in src/, tools/, bench/,
                         examples/ or perfbench/ includes, its own .cc not
                         counting. Code only tests reach is dead weight.
+  [env-knob]            getenv/secure_getenv in src/, tools/, bench/ or
+                        examples/ outside src/util/simd.cc (whose
+                        WSD_FORCE_SCALAR pins the scalar SIMD tier).
+                        Programs are configured by flags only, so a run
+                        is described by its command line.
 
 Usage:
   tools/wsd_lint.py [--root REPO] [--update-frozen] [--self-test] [-q]
@@ -695,6 +700,30 @@ def check_orphan_headers(root: str, findings):
 
 
 # --------------------------------------------------------------------------
+# Rule: env-knob
+# --------------------------------------------------------------------------
+
+ENV_KNOB_DIRS = ("src", "tools", "bench", "examples")
+# WSD_FORCE_SCALAR: the one way to reach the scalar SIMD tier on a host
+# with AVX2, which CI uses to run the suite on both tiers.
+ENV_KNOB_ALLOWED = {"src/util/simd.cc"}
+ENV_KNOB_RE = re.compile(r"\b(?:secure_)?getenv\s*\(")
+
+
+def check_env_knobs(root: str, findings):
+    for rel in iter_files(root, ENV_KNOB_DIRS, (".h", ".cc", ".cpp")):
+        if rel.replace(os.sep, "/") in ENV_KNOB_ALLOWED:
+            continue
+        text = strip_code(read(root, rel))
+        for m in ENV_KNOB_RE.finditer(text):
+            findings.append(Finding(
+                rel, line_of(text, m.start()), "env-knob",
+                "environment read outside src/util/simd.cc — configure "
+                "through a flag (StudyOptions::FromFlags for study "
+                "options) so a run is described by its command line"))
+
+
+# --------------------------------------------------------------------------
 # Driver + self-test
 # --------------------------------------------------------------------------
 
@@ -710,6 +739,7 @@ def run_lint(root: str, update_frozen: bool = False):
     check_raw_concurrency(root, findings)
     check_guarded_fields(root, findings)
     check_orphan_headers(root, findings)
+    check_env_knobs(root, findings)
     check_frozen(root, findings, update_frozen)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
@@ -814,6 +844,13 @@ int CountLt(const char* p) {
 }
 }
 """},
+    "env-knob": {"bench/bench_env.cc": """
+#include <cstdlib>
+int main() {
+  const char* scale = std::getenv("WSD_SCALE");
+  return scale == nullptr ? 0 : 1;
+}
+"""},
     "orphan-header": {
         "src/util/orphan.h": """
 #ifndef WSD_UTIL_ORPHAN_H_
@@ -830,6 +867,18 @@ int Orphan() { return 1; }
 # rule id -> {relative path: file contents} that must lint clean: the
 # near misses each rule has to let through.
 SELF_TEST_CLEAN_CASES = {
+    "env-knob": {
+        "src/util/simd.cc": """
+#include <cstdlib>
+namespace wsd {
+bool ForceScalar() { return std::getenv("WSD_FORCE_SCALAR") != nullptr; }
+}  // namespace wsd
+""",
+        "tools/tool_flags.cc": """
+// Reads --scale, never getenv("WSD_SCALE"); the comment does not count.
+const char* kUsage = "getenv( in a string literal is not a call";
+int main() { return 0; }
+"""},
     "orphan-header": {
         "src/util/bench_only.h": """
 #ifndef WSD_UTIL_BENCH_ONLY_H_

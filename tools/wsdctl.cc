@@ -14,6 +14,9 @@
 //                         (--shard i/n scans one corpus slice, --canonical
 //                         emits the merge-comparable canonical form)
 //   merge                 recombine per-shard snapshots into one
+//   paper                 every figure/table as TSV, then the paper-vs-
+//                         measured anchors: the one way to reproduce the
+//                         paper
 //   metrics               run a command (or a scan), dump the metrics registry
 //
 // Common flags: --domain=<name> --attr=<name> (case-insensitive; the
@@ -30,6 +33,7 @@
 // "Artifact store"): identical reruns then skip their scans entirely.
 
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -149,6 +153,149 @@ StatusOr<std::vector<RobustnessSeries>> RobustnessSweeps(
 }
 
 // ---------------------------------------------------------------------
+// Paper-vs-measured anchors: each figure's numbers that the paper states
+// in its text, next to the same quantity measured by this run. `paper`
+// prints them after writing its TSVs; EXPERIMENTS.md discusses them.
+
+// `values` at sample point t of `t_values`, or the last value when the
+// curve stops short of t (a web with fewer than t sites).
+double At(const std::vector<uint32_t>& t_values,
+          const std::vector<double>& values, uint32_t t) {
+  const auto it = std::find(t_values.begin(), t_values.end(), t);
+  return it == t_values.end() ? values.back()
+                              : values[it - t_values.begin()];
+}
+
+// k-coverage of the top-t sites.
+double KCoverageAt(const CoverageCurve& curve, uint32_t t, uint32_t k) {
+  return At(curve.t_values, curve.k_coverage[k - 1], t);
+}
+
+// Figs 1(a) and 2(a): restaurants by phone and by homepage (§3.4).
+void SpreadAnchors(const CoverageCurve& phone, const CoverageCurve& homepage,
+                   std::ostream& out) {
+  PrintAnchor("Fig 1: restaurants top-10 sites, k=1", "~93%",
+              FormatPct(KCoverageAt(phone, 10, 1)), out);
+  PrintAnchor("Fig 1: restaurants top-100 sites, k=1", "close to 100%",
+              FormatPct(KCoverageAt(phone, 100, 1)), out);
+  PrintAnchor("Fig 1: restaurants top-5000 sites, k=5", "~90%",
+              FormatPct(KCoverageAt(phone, 5000, 5)), out);
+  PrintAnchor("Fig 2: restaurants: sites needed for 95% 1-coverage",
+              ">= 10,000",
+              StrFormat("%.1f%% at t=10000",
+                        KCoverageAt(homepage, 10000, 1) * 100.0),
+              out);
+  PrintAnchor("Fig 2: restaurants top-10, k=1 (vs ~93% for phone)",
+              "visibly lower than Fig 1(a)",
+              FormatPct(KCoverageAt(homepage, 10, 1)), out);
+}
+
+void ReviewAnchors(const Study::ReviewSpreadResult& reviews,
+                   std::ostream& out) {
+  PrintAnchor("Fig 4: k=1 coverage at top-1000 sites", "~90-95%",
+              FormatPct(KCoverageAt(reviews.site_curve, 1000, 1)), out);
+  PrintAnchor("Fig 4: k=2 coverage at top-5000 sites", "~90%",
+              FormatPct(KCoverageAt(reviews.site_curve, 5000, 2)), out);
+  PrintAnchor("Fig 4: page-level coverage at top-1000 (vs site-level ~95%)",
+              "~80%",
+              FormatPct(At(reviews.page_curve.t_values,
+                           reviews.page_curve.page_fraction, 1000)),
+              out);
+}
+
+// §3.4.1: "a careful choice of hosts does not lead to significant
+// increase in coverage by top sites".
+void SetCoverAnchor(const SetCoverCurve& curve, std::ostream& out) {
+  double head_improvement = 0.0;
+  for (size_t i = 0; i < curve.t_values.size(); ++i) {
+    if (curve.t_values[i] <= 1000) {
+      head_improvement = std::max(
+          head_improvement, curve.greedy_coverage[i] - curve.size_coverage[i]);
+    }
+  }
+  PrintAnchor("Fig 5: greedy improvement over size ordering (t <= 1000)",
+              "slight / insignificant",
+              StrFormat("%.2f percentage points", head_improvement * 100.0),
+              out);
+}
+
+// Figs 6-8 over the (amazon, yelp, imdb) value studies, in that order.
+void ValueAnchors(const std::vector<Study::ValueStudyResult>& values,
+                  std::ostream& out) {
+  const Study::ValueStudyResult& amazon = values[0];
+  const Study::ValueStudyResult& yelp = values[1];
+  const Study::ValueStudyResult& imdb = values[2];
+  PrintAnchor("Fig 6: IMDb top-20% demand share (search)", ">90%",
+              FormatPct(imdb.head20_search), out);
+  PrintAnchor("Fig 6: Amazon top-20% demand share (search)", "~70-80%",
+              FormatPct(amazon.head20_search), out);
+  PrintAnchor("Fig 6: Yelp top-20% demand share (search)", "~60%",
+              FormatPct(yelp.head20_search), out);
+  PrintAnchor("Fig 6: Yelp browse flatter than search", "yes",
+              StrFormat("browse %.1f%% vs search %.1f%%",
+                        yelp.head20_browse * 100.0,
+                        yelp.head20_search * 100.0),
+              out);
+  for (const Study::ValueStudyResult& value : values) {
+    const std::string site(TrafficSiteName(value.site));
+    // Fig 7: strictly more demand for entities with more reviews.
+    double prev = -1e9;
+    bool monotone = true;
+    for (const ReviewBinStat& bin : value.bins) {
+      if (bin.num_entities == 0) continue;
+      if (bin.mean_search_z < prev - 0.05) monotone = false;
+      prev = bin.mean_search_z;
+    }
+    PrintAnchor("Fig 7: " + site + ": demand increases with review count",
+                "yes", monotone ? "yes (monotone up to noise)" : "NO", out);
+    // Fig 8: decreasing in n for Yelp and Amazon, humped for IMDb. The
+    // shape is read off the bins holding at least 10 entities.
+    std::vector<double> occupied;
+    for (const ReviewBinStat& bin : value.bins) {
+      if (bin.num_entities >= 10) occupied.push_back(bin.rel_va_search);
+    }
+    if (occupied.size() < 3) continue;
+    const double peak = *std::max_element(occupied.begin(), occupied.end());
+    const bool rises = peak > occupied.front() + 0.15;
+    const bool humped = rises && occupied.back() < peak * 0.8;
+    PrintAnchor("Fig 8: " + site + ": VA(n)/VA(0) shape",
+                value.site == TrafficSite::kImdb
+                    ? "humped (rises mid-range, falls at head)"
+                    : "decreasing in n",
+                humped ? "humped" : !rises ? "decreasing" : "mixed", out);
+  }
+}
+
+// Table 2 and Fig 9 over the 17 graphs (§5).
+void GraphAnchors(const std::vector<GraphMetricsRow>& rows,
+                  const std::vector<RobustnessSeries>& sweeps,
+                  std::ostream& out) {
+  uint32_t max_diameter = 0, min_diameter = UINT32_MAX;
+  double min_largest_pct = 100.0;
+  for (const GraphMetricsRow& row : rows) {
+    max_diameter = std::max(max_diameter, row.diameter);
+    min_diameter = std::min(min_diameter, row.diameter);
+    min_largest_pct =
+        std::min(min_largest_pct, row.largest_component_entity_pct);
+  }
+  PrintAnchor("Table 2: diameter range across graphs", "6-8 (d/2 <= 4)",
+              StrFormat("%u-%u", min_diameter, max_diameter), out);
+  PrintAnchor("Table 2: largest component, worst graph", ">= 97.87%",
+              FormatF(min_largest_pct, 2) + "%", out);
+  // Fig 9(a) holds the ISBN and phone graphs, 9(b) the homepage graphs.
+  double min_a = 1.0, min_b = 1.0;
+  for (const RobustnessSeries& series : sweeps) {
+    double& panel_min = series.attr == Attribute::kHomepage ? min_b : min_a;
+    panel_min = std::min(
+        panel_min, series.points.back().largest_component_entity_fraction);
+  }
+  PrintAnchor("Fig 9: ISBN+phone graphs after removing top-10", "> 99%",
+              FormatPct(min_a), out);
+  PrintAnchor("Fig 9: homepage graphs after removing top-10", "> 90%",
+              FormatPct(min_b), out);
+}
+
+// ---------------------------------------------------------------------
 // Subcommands.
 
 int CmdDomains(const Args& args) {
@@ -264,6 +411,54 @@ int CmdValue(const Args& args, const StudyOptions& options) {
             << FormatPct(result->head20_browse) << " (browse)\n\n";
   PrintValueAddBins("demand and value-add by review-count bin",
                     result->bins, std::cout);
+
+  // Fig 6(b)/(d): demand relative to the top entity at log-spaced ranks.
+  for (const auto& [channel, demand] :
+       {std::pair{"Fig 6(b): relative demand vs rank, search data",
+                  &result->demand.search_demand},
+        std::pair{"Fig 6(d): relative demand vs rank, browse data",
+                  &result->demand.browse_demand}}) {
+    std::cout << "\n" << channel << "\n";
+    TextTable table({"rank (% of inventory)", "relative demand"});
+    for (const RankDemandPoint& point : RankDemandCurve(*demand, 12)) {
+      table.AddRow({StrFormat("%.3f%%", point.rank_fraction * 100.0),
+                    StrFormat("%.4f", point.relative_demand)});
+    }
+    table.Print(std::cout);
+  }
+
+  // §4.3.1's alternative I_delta, a step function that zeroes the value
+  // once an entity has >= 10 reviews ("a user reads no more than c
+  // reviews"). The paper: it "would estimate even higher value-add of
+  // extracting a new review for tail entities".
+  ValueAddOptions step;
+  step.decay = ValueAddOptions::InfoDecay::kStepAtCutoff;
+  const auto step_bins =
+      AnalyzeValueAddWithOptions(result->demand, result->reviews, step);
+  if (!step_bins.ok()) return Fail(step_bins.status());
+  std::cout << "\nstep decay (zero value once n >= " << step.step_cutoff
+            << ") vs inverse-linear\n";
+  TextTable table({"#reviews (n)", "VA(n)/VA(0) inverse-linear",
+                   "VA(n)/VA(0) step"});
+  double head_linear = 0, head_step = 0;  // bins with n >= 15
+  for (size_t i = 0; i < step_bins->size(); ++i) {
+    const double linear = result->bins[i].rel_va_search;
+    const double stepped = (*step_bins)[i].rel_va_search;
+    table.AddRow({(*step_bins)[i].label, FormatF(linear, 3),
+                  FormatF(stepped, 3)});
+    if (i >= 4) {
+      head_linear += linear;
+      head_step += stepped;
+    }
+  }
+  table.Print(std::cout);
+  std::cout << "\n";
+  PrintAnchor("step decay shifts value toward the tail",
+              "alternative I_delta estimates even higher tail value-add",
+              StrFormat("head-bin VA sum: %.3f (step) vs %.3f "
+                        "(inverse-linear)",
+                        head_step, head_linear),
+              std::cout);
   return MaybeWriteTsv(args, ValueBinsTsv(result->bins));
 }
 
@@ -492,8 +687,9 @@ int CmdMerge(const Args& args) {
 }
 
 // Runs every experiment and writes one TSV per figure/table into
-// --outdir, creating it (and any missing parents) first. The
-// single-command "reproduce the paper" entry point.
+// --outdir, creating it (and any missing parents) first, then prints the
+// paper-vs-measured anchors. The single-command "reproduce the paper"
+// entry point.
 int CmdPaper(const Args& args, const StudyOptions& options) {
   const std::string outdir = args.GetOr("outdir", "paper_out");
   if (const Status made = EnsureDirectory(outdir); !made.ok()) {
@@ -520,7 +716,8 @@ int CmdPaper(const Args& args, const StudyOptions& options) {
     return CoverageTsv(spread.curve);
   };
 
-  // Figures 1-3.
+  // Figures 1-3. The restaurants panels of Figs 1 and 2 feed anchors.
+  std::vector<CoverageCurve> restaurants;
   for (const auto& [prefix, attr] :
        {std::pair{"fig1_phone_", Attribute::kPhone},
         std::pair{"fig2_homepage_", Attribute::kHomepage}}) {
@@ -529,7 +726,9 @@ int CmdPaper(const Args& args, const StudyOptions& options) {
       for (char& c : name) {
         if (!IsAlnum(c) && c != '_') c = '_';
       }
-      if (!emit(name, Spread(study, domain, attr), spread_tsv)) return 1;
+      const auto spread = Spread(study, domain, attr);
+      if (!emit(name, spread, spread_tsv)) return 1;
+      if (domain == Domain::kRestaurants) restaurants.push_back(spread->curve);
     }
   }
   if (!emit("fig3_isbn_books", Spread(study, Domain::kBooks, Attribute::kIsbn),
@@ -538,42 +737,47 @@ int CmdPaper(const Args& args, const StudyOptions& options) {
   }
   // Figures 4 and 5.
   const auto reviews = Reviews(study);
+  const auto setcover =
+      SetCover(study, Domain::kRestaurants, Attribute::kHomepage);
   if (!emit("fig4a_reviews_sites", reviews,
             [](const auto& r) { return CoverageTsv(r.site_curve); }) ||
       !emit("fig4b_reviews_pages", reviews,
             [](const auto& r) { return PageCoverageTsv(r.page_curve); }) ||
-      !emit("fig5_setcover",
-            SetCover(study, Domain::kRestaurants, Attribute::kHomepage),
-            SetCoverTsv)) {
+      !emit("fig5_setcover", setcover, SetCoverTsv)) {
     return 1;
   }
   // Figures 6-8: the three value studies run as one batch on the pool.
   const std::vector<TrafficSite> sites = {
       TrafficSite::kAmazon, TrafficSite::kYelp, TrafficSite::kImdb};
-  auto values = study.RunValueStudies(sites);
+  const auto values = study.RunValueStudies(sites);
   for (size_t i = 0; i < sites.size(); ++i) {
-    using Value = StatusOr<Study::ValueStudyResult>;
-    const Value value = values.ok() ? Value(std::move((*values)[i]))
-                                    : Value(values.status());
     const std::string lower = ToLower(TrafficSiteName(sites[i]));
-    if (!emit("fig6_demand_" + lower, value,
-              [](const auto& v) {
-                return DemandCurveTsv(v.search_curve, v.browse_curve);
+    if (!emit("fig6_demand_" + lower, values,
+              [i](const auto& v) {
+                return DemandCurveTsv(v[i].search_curve, v[i].browse_curve);
               }) ||
-        !emit("fig7_fig8_value_" + lower, value,
-              [](const auto& v) { return ValueBinsTsv(v.bins); })) {
+        !emit("fig7_fig8_value_" + lower, values,
+              [i](const auto& v) { return ValueBinsTsv(v[i].bins); })) {
       return 1;
     }
   }
   // Table 2 and Figure 9.
   const Graphs graphs = Table2Graphs();
-  if (!emit("table2_graphs", GraphRows(study, graphs),
-            [](const auto& rows) { return GraphMetricsTsv(rows); }) ||
-      !emit("fig9_robustness", RobustnessSweeps(study, graphs),
-            [](const auto& sweeps) { return RobustnessTsv(sweeps); })) {
+  const auto rows = GraphRows(study, graphs);
+  const auto sweeps = RobustnessSweeps(study, graphs);
+  if (!emit("table2_graphs", rows,
+            [](const auto& r) { return GraphMetricsTsv(r); }) ||
+      !emit("fig9_robustness", sweeps,
+            [](const auto& s) { return RobustnessTsv(s); })) {
     return 1;
   }
-  std::cout << "done: all figures/tables written under " << outdir << "\n";
+  std::cout << "done: all figures/tables written under " << outdir
+            << "\n\npaper vs measured:\n";
+  SpreadAnchors(restaurants[0], restaurants[1], std::cout);
+  ReviewAnchors(*reviews, std::cout);
+  SetCoverAnchor(*setcover, std::cout);
+  ValueAnchors(*values, std::cout);
+  GraphAnchors(*rows, *sweeps, std::cout);
   return 0;
 }
 
@@ -620,7 +824,7 @@ int CmdHelp() {
       "  setcover    Fig 5 greedy ordering  --domain --attr\n"
       "  graph       Table 2 metrics        --domain --attr | --all\n"
       "  robustness  Fig 9 sweep            --domain --attr\n"
-      "  value       §4 value study         --site amazon|yelp|imdb\n"
+      "  value       Figs 6-8 value study   --site amazon|yelp|imdb\n"
       "  bootstrap   set-expansion trials   --domain --attr [--seeds N]\n"
       "  gen-cache   persist a synthetic web --domain --attr --out f.bin\n"
       "  scan-cache  scan a persisted cache  --domain --attr --in f.bin\n"
@@ -631,7 +835,8 @@ int CmdHelp() {
       "  merge       recombine shard snapshots  s1.wsdsnap s2.wsdsnap ...\n"
       "              [--out merged.wsdsnap] [--artifacts DIR]\n"
       "              [--table-out f.tsv]\n"
-      "  paper       run EVERY experiment, TSVs into --outdir\n"
+      "  paper       run EVERY experiment, TSVs into --outdir, then\n"
+      "              print the paper-vs-measured anchors\n"
       "  metrics     run a command (default: a scan), then dump the\n"
       "              metrics registry        [command ...] [--format json]\n\n"
       "common flags: --entities=N --seed=N --scale=F --threads=N\n"
