@@ -4,6 +4,10 @@
 #include <cmath>
 #include <cstdint>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "extract/attribute_registry.h"
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -73,46 +77,94 @@ ArtifactKey Study::KeyFor(Domain domain, Attribute attr) const {
 }
 
 StatusOr<Study::ScanHandle> Study::Scan(Domain domain, Attribute attr) {
-  const auto memo_key =
-      std::make_pair(static_cast<int>(domain), static_cast<int>(attr));
-  if (auto it = scan_memo_.find(memo_key); it != scan_memo_.end()) {
-    return ScanHandle(domain, attr, it->second);
+  auto handles = ScanBatch({{domain, attr}});
+  if (!handles.ok()) return handles.status();
+  return std::move(handles->front());
+}
+
+StatusOr<std::vector<Study::ScanHandle>> Study::ScanBatch(
+    const std::vector<std::pair<Domain, Attribute>>& pairs) {
+  const auto memo_key = [](Domain domain, Attribute attr) {
+    return std::make_pair(static_cast<int>(domain), static_cast<int>(attr));
+  };
+  // Memo and store hits first; what is left must be built and scanned.
+  std::vector<std::pair<Domain, Attribute>> misses;
+  for (const auto& [domain, attr] : pairs) {
+    const auto key = memo_key(domain, attr);
+    if (scan_memo_.count(key) != 0 ||
+        std::find(misses.begin(), misses.end(),
+                  std::make_pair(domain, attr)) != misses.end()) {
+      continue;
+    }
+    if (store_.has_value()) {
+      auto loaded = store_->Load(KeyFor(domain, attr));
+      if (loaded.ok()) {
+        scan_memo_[key] =
+            std::make_shared<const ScanResult>(std::move(loaded).value());
+        continue;
+      }
+      // Miss or verify failure: the store has counted and logged it;
+      // answer with a live scan.
+    }
+    misses.emplace_back(domain, attr);
   }
 
-  if (store_.has_value()) {
-    auto loaded = store_->Load(KeyFor(domain, attr));
-    if (loaded.ok()) {
-      auto shared =
-          std::make_shared<const ScanResult>(std::move(loaded).value());
-      scan_memo_[memo_key] = shared;
-      return ScanHandle(domain, attr, std::move(shared));
+  StatusOr<SyntheticWeb> web = Status::Internal("no corpus built");
+  if (!misses.empty()) web = BuildWeb(misses[0].first, misses[0].second);
+  for (size_t i = 0; i < misses.size(); ++i) {
+    if (!web.ok()) return web.status();
+    StatusOr<SyntheticWeb> next = Status::Internal("no corpus built");
+    auto scanned = ScanWeb(*web, ShardSpec{}, [&] {
+      if (i + 1 < misses.size()) {
+        next = BuildWeb(misses[i + 1].first, misses[i + 1].second);
+      }
+    });
+    // Free corpus i before persisting its result, so the snapshot encoder
+    // reuses the corpus's heap instead of growing it (`wsdctl scan
+    // --artifacts --scale=0.5` peaked up to 27% higher otherwise).
+    web = std::move(next);
+    if (!scanned.ok()) return scanned.status();
+    auto shared =
+        std::make_shared<const ScanResult>(std::move(scanned).value());
+    const auto& [domain, attr] = misses[i];
+    if (store_.has_value()) {
+      const Status stored = store_->Store(KeyFor(domain, attr), *shared);
+      if (!stored.ok()) {
+        WSD_LOG(kWarning) << "could not persist scan artifact: "
+                          << stored.ToString();
+      }
     }
-    // Miss or verify failure: the store has counted and logged it; answer
-    // with a live scan.
+    scan_memo_[memo_key(domain, attr)] = std::move(shared);
   }
+#if defined(__GLIBC__)
+  // Each overlapped build ran while the previous corpus was still live,
+  // so the freed corpora and build temporaries sit above the live heap,
+  // below glibc's raised trim threshold. Hand those pages back: without
+  // this, `wsdctl paper` peaks ~2 MB (6%) higher than with serial builds.
+  if (misses.size() > 1) malloc_trim(0);
+#endif
 
-  auto scanned = RunShardScan(domain, attr, ShardSpec{});
-  if (!scanned.ok()) return scanned.status();
-  auto shared =
-      std::make_shared<const ScanResult>(std::move(scanned).value());
-  if (store_.has_value()) {
-    const Status stored = store_->Store(KeyFor(domain, attr), *shared);
-    if (!stored.ok()) {
-      WSD_LOG(kWarning) << "could not persist scan artifact: "
-                        << stored.ToString();
-    }
+  std::vector<ScanHandle> handles;
+  handles.reserve(pairs.size());
+  for (const auto& [domain, attr] : pairs) {
+    handles.push_back(
+        ScanHandle(domain, attr, scan_memo_.at(memo_key(domain, attr))));
   }
-  scan_memo_[memo_key] = shared;
-  return ScanHandle(domain, attr, std::move(shared));
+  return handles;
 }
 
 StatusOr<ScanResult> Study::RunShardScan(Domain domain, Attribute attr,
                                          const ShardSpec& shard) {
   auto web = BuildWeb(domain, attr);
   if (!web.ok()) return web.status();
+  return ScanWeb(*web, shard);
+}
 
+StatusOr<ScanResult> Study::ScanWeb(
+    const SyntheticWeb& web, const ShardSpec& shard,
+    const std::function<void()>& while_scanning) {
   const ReviewDetector* detector = nullptr;
-  if (GetAttributeSpec(attr).review_channel) {
+  if (GetAttributeSpec(web.config().attr).review_channel) {
     if (!detector_.has_value()) {
       auto built = ReviewDetector::CreateDefault(options_.seed ^ 0xdecafULL);
       if (!built.ok()) return built.status();
@@ -120,8 +172,8 @@ StatusOr<ScanResult> Study::RunShardScan(Domain domain, Attribute attr,
     }
     detector = &*detector_;
   }
-  const ScanPipeline pipeline(*web, *pool_, detector);
-  return pipeline.Run(shard);
+  const ScanPipeline pipeline(web, *pool_, detector);
+  return pipeline.Run(shard, while_scanning);
 }
 
 StatusOr<ScanResult> Study::RunScan(Domain domain, Attribute attr) {

@@ -2,6 +2,7 @@
 #define WSD_CORE_STUDY_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -96,8 +97,20 @@ class Study {
   /// in-memory memo makes repeat calls free within a Study, and when
   /// options().artifact_dir is set the result round-trips through the
   /// on-disk ArtifactStore (hit: no scan at all; corrupt or stale
-  /// artifact: logged, counted, and transparently rescanned).
+  /// artifact: logged, counted, and transparently rescanned). The
+  /// one-pair case of ScanBatch.
   [[nodiscard]] StatusOr<ScanHandle> Scan(Domain domain, Attribute attr);
+
+  /// Scan() for several (domain, attribute) pairs, handles in `pairs`
+  /// order. Memo and store hits build nothing; the remaining pairs are
+  /// scanned one after another on the pool, and while the pool scans
+  /// corpus i the calling thread builds corpus i+1, so only the first
+  /// build is serial. Each build is deterministic in its config, so the
+  /// results equal pair-by-pair Scan() calls. The first failing pair's
+  /// error is returned once the pool has drained; the pairs scanned
+  /// before it stay memoized.
+  [[nodiscard]] StatusOr<std::vector<ScanHandle>> ScanBatch(
+      const std::vector<std::pair<Domain, Attribute>>& pairs);
 
   /// §3.1 cache scan for one (domain, attribute). Equivalent to
   /// Scan().result() by copy; kept for callers that want to own the
@@ -108,8 +121,8 @@ class Study {
   /// the memo and the artifact store describe whole-corpus scans, so a
   /// shard result deliberately bypasses both — its snapshot lives
   /// wherever the caller writes it (`wsdctl scan --shard --out`) and
-  /// `wsdctl merge` recombines the slices. The whole-corpus spec is the
-  /// uncached scan behind Scan().
+  /// `wsdctl merge` recombines the slices. It scans the way ScanBatch
+  /// does, with nothing to overlap.
   [[nodiscard]] StatusOr<ScanResult> RunShardScan(Domain domain,
                                                   Attribute attr,
                                                   const ShardSpec& shard);
@@ -175,6 +188,12 @@ class Study {
 
  private:
   ArtifactKey KeyFor(Domain domain, Attribute attr) const;
+
+  /// Scans `web` on the pool with this Study's detector (trained on
+  /// first use), running `while_scanning` on the calling thread meanwhile.
+  [[nodiscard]] StatusOr<ScanResult> ScanWeb(
+      const SyntheticWeb& web, const ShardSpec& shard,
+      const std::function<void()>& while_scanning = nullptr);
 
   StudyOptions options_;
   std::unique_ptr<ThreadPool> pool_;

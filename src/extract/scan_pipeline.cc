@@ -183,7 +183,9 @@ StatusOr<ShardSpec> ShardSpec::Parse(std::string_view spec) {
 
 StatusOr<ScanResult> ScanPipeline::Run() const { return Run(ShardSpec{}); }
 
-StatusOr<ScanResult> ScanPipeline::Run(const ShardSpec& shard) const {
+StatusOr<ScanResult> ScanPipeline::Run(
+    const ShardSpec& shard,
+    const std::function<void()>& while_scanning) const {
   const Attribute attr = web_.config().attr;
   if (GetAttributeSpec(attr).review_channel && detector_ == nullptr) {
     return Status::InvalidArgument(
@@ -197,56 +199,69 @@ StatusOr<ScanResult> ScanPipeline::Run(const ShardSpec& shard) const {
   const uint32_t num_hosts = web_.num_hosts();
   std::vector<HostRecord> records(num_hosts);
 
-  const EntityMatcher matcher(web_.catalog(), attr);
-  const ReviewDetector* detector = detector_;
-  const SyntheticWeb& web = web_;
+  // Claim order: the owned hosts, largest first (LPT list scheduling,
+  // Graham 1969), ties by SiteId so the order is deterministic. Site sizes
+  // follow a power law, so a head host claimed last would leave every
+  // other worker idle while it finishes. Hosts outside the corpus slice
+  // are skipped before any page is rendered; their default-empty records
+  // are dropped by PruneEmptyHosts below.
+  std::vector<std::pair<uint32_t, SiteId>> order;
+  order.reserve(num_hosts);
+  for (SiteId s = 0; s < num_hosts; ++s) {
+    if (shard.Owns(web_.host(s))) {
+      order.emplace_back(web_.generator().CountPages(s), s);
+    }
+  }
+  std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  });
 
+  const EntityMatcher matcher(web_.catalog(), attr);
+  std::atomic<size_t> next{0};
   std::atomic<uint64_t> mentions{0};
   std::atomic<uint64_t> review_pages{0};
-  std::atomic<uint64_t> owned_hosts{0};
   std::atomic<size_t> max_scratch_bytes{0};
-  LatencyHistogram& shard_seconds =
+  LatencyHistogram& task_seconds =
       MetricsRegistry::Global().GetHistogram("wsd.scan.shard_seconds");
 
-  // Hosts are disjoint, so each iteration owns records[s] exclusively.
+  // Hosts are disjoint, so each claimed host owns records[s] exclusively
+  // and the claim order cannot change a byte of the result.
   // Lock discipline (docs/STATIC_ANALYSIS.md#lock-discipline): this
   // region holds no mutex by design — there is nothing for GUARDED_BY
-  // to protect. Cross-thread safety rests on disjoint indices, relaxed
-  // atomics for the merged counters, and the happens-before edges of
-  // ParallelForShards' submit/wait (whose queue is annotated).
-  // One ScanScratch per pool shard; counters stay shard-local and merge
-  // once per pool shard. Only the shard wall time is recorded into the
-  // registry from inside the parallel region. Hosts outside the corpus
-  // slice are skipped before any page is rendered; their default-empty
-  // records are dropped by PruneEmptyHosts below.
-  ParallelForShards(pool_, 0, num_hosts, [&](size_t /*shard*/, size_t lo,
-                                             size_t hi) {
-    const ScopedTimer shard_timer(shard_seconds);
+  // to protect. Cross-thread safety rests on the atomic claim cursor,
+  // disjoint indices, relaxed atomics for the merged counters, and the
+  // happens-before edges of the pool's submit/wait (whose queue is
+  // annotated). One ScanScratch per claiming task; counters stay
+  // task-local and merge once per task. Only the task wall time is
+  // recorded into the registry from inside the parallel region.
+  const auto claim_hosts = [&] {
+    const ScopedTimer task_timer(task_seconds);
     ScanScratch scratch;
     uint64_t local_mentions = 0;
     uint64_t local_reviews = 0;
-    uint64_t local_owned = 0;
-    for (size_t s = lo; s < hi; ++s) {
-      if (!shard.Owns(web.host(static_cast<SiteId>(s)))) continue;
-      ++local_owned;
-      ScanHostPages(web, static_cast<SiteId>(s), matcher, detector,
-                    &scratch, &records[s], &local_mentions,
-                    &local_reviews);
+    for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
+         i < order.size(); i = next.fetch_add(1, std::memory_order_relaxed)) {
+      const SiteId s = order[i].second;
+      ScanHostPages(web_, s, matcher, detector_, &scratch, &records[s],
+                    &local_mentions, &local_reviews);
     }
     mentions.fetch_add(local_mentions, std::memory_order_relaxed);
     review_pages.fetch_add(local_reviews, std::memory_order_relaxed);
-    owned_hosts.fetch_add(local_owned, std::memory_order_relaxed);
     const size_t footprint = scratch.MemoryFootprint();
     size_t seen = max_scratch_bytes.load(std::memory_order_relaxed);
     while (seen < footprint &&
            !max_scratch_bytes.compare_exchange_weak(
                seen, footprint, std::memory_order_relaxed)) {
     }
-  });
+  };
+  const size_t num_tasks = std::min(order.size(), pool_.num_threads());
+  for (size_t t = 0; t < num_tasks; ++t) pool_.Submit(claim_hosts);
+  if (while_scanning) while_scanning();
+  pool_.Wait();
 
   ScanResult result;
   result.table = HostEntityTable(std::move(records));
-  result.stats.hosts_scanned = owned_hosts.load();
+  result.stats.hosts_scanned = order.size();
   for (size_t i = 0; i < result.table.num_hosts(); ++i) {
     result.stats.pages_scanned += result.table.host(i).pages_scanned;
     result.stats.bytes_scanned += result.table.host(i).bytes_scanned;

@@ -2,6 +2,7 @@
 #define WSD_EXTRACT_SCAN_PIPELINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -62,11 +63,12 @@ struct ScanResult {
   ScanStats stats;
 };
 
-/// Per-shard reusable buffers for the streaming scan kernel. One
-/// ScanScratch lives for a whole shard; every buffer's capacity climbs to
-/// its watermark within the first few hosts and is reused afterwards, so
-/// the per-page inner loop performs no heap allocation in steady state
-/// (asserted by the allocation-regression test in scan_pipeline_test).
+/// Per-task reusable buffers for the streaming scan kernel. One
+/// ScanScratch lives for a whole claiming task (or a whole cache-file
+/// scan); every buffer's capacity climbs to its watermark within the
+/// first few hosts and is reused afterwards, so the per-page inner loop
+/// performs no heap allocation in steady state (asserted by the
+/// allocation-regression test in scan_pipeline_test).
 struct ScanScratch {
   Page page;                 // rendered page (url + html)
   std::string visible_text;  // extracted page text
@@ -95,9 +97,10 @@ void ScanHostPages(const SyntheticWeb& web, SiteId s,
                    uint64_t* review_pages);
 
 /// The paper's cache scan (§3.1): stream every page of every host through
-/// the attribute extractor and aggregate matches per host. Hosts are
-/// processed in parallel shards; rendering is deterministic per host, so
-/// the result is independent of thread count.
+/// the attribute extractor and aggregate matches per host. One task per
+/// pool worker claims hosts from a shared cursor, largest host first;
+/// rendering is deterministic per host and host records are disjoint, so
+/// the result is independent of thread count and claim order.
 ///
 /// For Attribute::kReviews a detector must be supplied; a page then
 /// counts only when it (a) mentions the entity's phone and (b) classifies
@@ -111,9 +114,10 @@ class ScanPipeline {
                const ReviewDetector* detector = nullptr)
       : web_(web), pool_(pool), detector_(detector) {}
 
-  /// Runs the scan with the streaming kernel (one ScanScratch per shard,
-  /// zero steady-state allocation per page). Fails if a review scan
-  /// lacks a detector.
+  /// Runs the scan with the streaming kernel: min(owned hosts, pool
+  /// threads) tasks, each with one ScanScratch (zero steady-state
+  /// allocation per page), claim hosts in descending CountPages order.
+  /// Fails if a review scan lacks a detector.
   [[nodiscard]] StatusOr<ScanResult> Run() const;
 
   /// Runs the scan over one hash-partitioned corpus slice: hosts the
@@ -121,7 +125,13 @@ class ScanPipeline {
   /// contribute nothing to the table or stats, so the per-shard results
   /// of a complete {1..n} sweep sum/merge to exactly the monolithic
   /// scan (see store/merge.h). Run() is Run(ShardSpec{}).
-  [[nodiscard]] StatusOr<ScanResult> Run(const ShardSpec& shard) const;
+  ///
+  /// `while_scanning`, when set, runs on the calling thread while the
+  /// pool scans: after the tasks are submitted, before Run waits for
+  /// them. Study builds the next corpus there.
+  [[nodiscard]] StatusOr<ScanResult> Run(
+      const ShardSpec& shard,
+      const std::function<void()>& while_scanning = nullptr) const;
 
   /// The pre-kernel implementation: value-returning extractors, per-page
   /// string/vector materialization and a per-host std::map. Kept as the

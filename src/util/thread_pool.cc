@@ -104,8 +104,8 @@ void ParallelForShards(
     const std::function<void(size_t shard, size_t lo, size_t hi)>& body) {
   if (begin >= end) return;
   const size_t n = end - begin;
-  // Over-decompose 4x relative to the thread count so uneven shards (e.g.,
-  // head sites with far more pages) still balance.
+  // 4x the thread count, equal counts per shard. This does not balance
+  // power-law work (see the header); the scan claims by size instead.
   const size_t num_shards =
       std::min(n, std::max<size_t>(1, pool.num_threads() * 4));
   const size_t chunk = (n + num_shards - 1) / num_shards;

@@ -12,7 +12,7 @@
 namespace wsd {
 
 /// A fixed-size worker pool with a blocking FIFO queue. Used by the scan
-/// pipeline and the diameter computation. Tasks must not throw.
+/// pipeline, the value studies and the diameter computation. Tasks must not throw.
 class ThreadPool {
  public:
   /// `num_threads` = 0 selects std::thread::hardware_concurrency() (at
@@ -47,10 +47,15 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Splits [begin, end) into contiguous shards across `pool` and runs
-/// body(shard_index, lo, hi) once per shard, so callers keep per-shard
-/// state without per-iteration overhead. Blocks until every shard is
-/// done; `body` must be safe to invoke concurrently for distinct shards.
+/// Splits [begin, end) into 4 × num_threads contiguous equal-count shards
+/// across `pool` and runs body(shard_index, lo, hi) once per shard, so
+/// callers keep per-shard state without per-iteration overhead. Blocks
+/// until every shard is done; `body` must be safe to invoke concurrently
+/// for distinct shards. Equal counts do not balance uneven work: on
+/// power-law sites one shard gets the head hosts and takes as long as
+/// the whole scan. ScanPipeline::Run therefore claims hosts largest
+/// first; only the frozen RunLegacy oracle and this function's own tests
+/// still call it.
 void ParallelForShards(
     ThreadPool& pool, size_t begin, size_t end,
     const std::function<void(size_t shard, size_t lo, size_t hi)>& body);

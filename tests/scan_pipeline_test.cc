@@ -146,15 +146,6 @@ TEST(ScanPipelineTest, ReviewScanApproximatesTruth) {
   EXPECT_LT(recall, 1.15);
 }
 
-TEST(ScanPipelineTest, ResultIndependentOfThreadCount) {
-  const SyntheticWeb web = MakeWeb(Attribute::kPhone, 300, 200);
-  ThreadPool pool1(1), pool4(4);
-  auto r1 = ScanPipeline(web, pool1).Run();
-  auto r4 = ScanPipeline(web, pool4).Run();
-  ASSERT_TRUE(r1.ok() && r4.ok());
-  EXPECT_EQ(Scanned(r1->table), Scanned(r4->table));
-}
-
 // Snapshot of the wsd.scan.* counters that mirror ScanStats.
 struct ScanCounterSnapshot {
   uint64_t hosts, pages, bytes, mentions, review_pages;
@@ -331,6 +322,106 @@ void ExpectIdenticalResults(const ScanResult& kernel,
   EXPECT_EQ(kernel.stats.review_pages, legacy.stats.review_pages);
   EXPECT_EQ(kernel.stats.skipped_urls, legacy.stats.skipped_urls);
 }
+
+// A corpus whose site 0 holds a large share of every page: all draws go
+// to the head component, its rank-1 site takes most of them, and each
+// entity has few sites. Equal-count host ranges never balanced this
+// shape; under largest-first claiming the head host is claimed first and
+// the tail behind it.
+SyntheticWeb MakeHeadHeavyWeb(Attribute attr) {
+  SyntheticWeb::Config config;
+  config.domain = attr == Attribute::kIsbn ? Domain::kBooks
+                                           : Domain::kRestaurants;
+  config.attr = attr;
+  config.num_entities = 400;
+  config.seed = 13;
+  SpreadParams params = DefaultSpreadParams(config.domain, attr);
+  params.num_sites = 150;
+  params.head_bias = 1.0;
+  params.head_alpha = 3.0;
+  params.mean_degree = 2.0;
+  params.local_fraction = 0.0;
+  params.head_degree_ref = 0.0;
+  config.spread = params;
+  auto web = SyntheticWeb::Create(config);
+  EXPECT_TRUE(web.ok()) << web.status();
+  return std::move(web).value();
+}
+
+class ScanClaimOrderTest : public ::testing::TestWithParam<Attribute> {};
+
+// Hosts are claimed largest first from one cursor, so which worker scans
+// which host depends on the thread count and on timing. The result must
+// not: every thread count, and one hash slice at two thread counts, must
+// give the single-threaded bytes.
+TEST_P(ScanClaimOrderTest, ResultIndependentOfThreadCount) {
+  const Attribute attr = GetParam();
+  const SyntheticWeb web = MakeHeadHeavyWeb(attr);
+  uint64_t total_pages = 0, head_pages = 0;
+  for (SiteId s = 0; s < web.num_hosts(); ++s) {
+    const uint32_t pages = web.generator().CountPages(s);
+    total_pages += pages;
+    head_pages = std::max<uint64_t>(head_pages, pages);
+  }
+  ASSERT_GT(head_pages * 4, total_pages) << "no dominant head host";
+
+  std::optional<ReviewDetector> detector;
+  if (attr == Attribute::kReviews) {
+    auto built = ReviewDetector::CreateDefault(99);
+    ASSERT_TRUE(built.ok());
+    detector.emplace(std::move(built).value());
+  }
+  const ReviewDetector* det = detector ? &*detector : nullptr;
+  const auto scan = [&](size_t threads, const ShardSpec& shard) {
+    ThreadPool pool(threads);
+    auto result = ScanPipeline(web, pool, det).Run(shard);
+    EXPECT_TRUE(result.ok()) << result.status();
+    return std::move(result).value();
+  };
+
+  const ScanResult reference = scan(1, ShardSpec{});
+  ASSERT_GT(reference.stats.pages_scanned, 0u);
+  // Rows stay in SiteId order whatever order the hosts were claimed in.
+  std::map<std::string, SiteId> site_of;
+  for (SiteId s = 0; s < web.num_hosts(); ++s) site_of[web.host(s)] = s;
+  for (size_t i = 1; i < reference.table.num_hosts(); ++i) {
+    EXPECT_LT(site_of.at(reference.table.host(i - 1).host),
+              site_of.at(reference.table.host(i).host));
+  }
+  for (size_t threads : {2, 3, 8}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    ExpectIdenticalResults(scan(threads, ShardSpec{}), reference);
+  }
+
+  const ShardSpec slice{1, 3};
+  const ScanResult slice_serial = scan(1, slice);
+  {
+    SCOPED_TRACE("slice 2/3, threads=8");
+    ExpectIdenticalResults(scan(8, slice), slice_serial);
+  }
+  // The slice holds exactly the whole scan's rows for the hosts it owns.
+  size_t owned_rows = 0;
+  for (size_t i = 0; i < reference.table.num_hosts(); ++i) {
+    const HostRecord& row = reference.table.host(i);
+    if (!slice.Owns(row.host)) continue;
+    ASSERT_LT(owned_rows, slice_serial.table.num_hosts());
+    const HostRecord& got = slice_serial.table.host(owned_rows++);
+    EXPECT_EQ(got.host, row.host);
+    EXPECT_EQ(got.pages_scanned, row.pages_scanned) << row.host;
+    EXPECT_EQ(got.entities.size(), row.entities.size()) << row.host;
+  }
+  EXPECT_EQ(owned_rows, slice_serial.table.num_hosts());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllAttributes, ScanClaimOrderTest,
+                         ::testing::Values(Attribute::kPhone,
+                                           Attribute::kHomepage,
+                                           Attribute::kIsbn,
+                                           Attribute::kReviews,
+                                           Attribute::kMicrodata),
+                         [](const auto& info) {
+                           return std::string(AttributeName(info.param));
+                         });
 
 class KernelEquivalenceTest : public ::testing::TestWithParam<Attribute> {};
 

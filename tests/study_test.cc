@@ -342,6 +342,116 @@ TEST(StudyMetricsTest, CorpusBuildTimerRecordsOnePerLiveScan) {
   std::filesystem::remove_all(dir);
 }
 
+// Host rows and counts of two scans, wall time aside.
+void ExpectSameScan(const ScanResult& a, const ScanResult& b) {
+  ASSERT_EQ(a.table.num_hosts(), b.table.num_hosts());
+  for (size_t i = 0; i < a.table.num_hosts(); ++i) {
+    const HostRecord& x = a.table.host(i);
+    const HostRecord& y = b.table.host(i);
+    EXPECT_EQ(x.host, y.host);
+    EXPECT_EQ(x.pages_scanned, y.pages_scanned) << x.host;
+    EXPECT_EQ(x.bytes_scanned, y.bytes_scanned) << x.host;
+    ASSERT_EQ(x.entities.size(), y.entities.size()) << x.host;
+    for (size_t j = 0; j < x.entities.size(); ++j) {
+      EXPECT_EQ(x.entities[j].entity, y.entities[j].entity) << x.host;
+      EXPECT_EQ(x.entities[j].pages, y.entities[j].pages) << x.host;
+    }
+  }
+  EXPECT_EQ(a.stats.hosts_scanned, b.stats.hosts_scanned);
+  EXPECT_EQ(a.stats.pages_scanned, b.stats.pages_scanned);
+  EXPECT_EQ(a.stats.bytes_scanned, b.stats.bytes_scanned);
+  EXPECT_EQ(a.stats.entity_mentions, b.stats.entity_mentions);
+  EXPECT_EQ(a.stats.review_pages, b.stats.review_pages);
+}
+
+// A batch builds corpus i+1 while corpus i is scanned; each pair must
+// still get exactly its pair-by-pair Scan() result, in `pairs` order,
+// repeats included.
+TEST(StudyScanBatchTest, BatchMatchesPairByPairScans) {
+  const std::vector<std::pair<Domain, Attribute>> pairs = {
+      {Domain::kBanks, Attribute::kPhone},
+      {Domain::kBooks, Attribute::kIsbn},
+      {Domain::kRestaurants, Attribute::kReviews},
+      {Domain::kBanks, Attribute::kPhone},
+      {Domain::kRestaurants, Attribute::kHomepage}};
+  StudyOptions options = SmallOptions();
+  options.num_entities = 400;
+  options.threads = 4;
+  Study batch_study(options);
+  auto batch = batch_study.ScanBatch(pairs);
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  ASSERT_EQ(batch->size(), pairs.size());
+
+  options.threads = 1;
+  Study serial(options);
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    SCOPED_TRACE("pair " + std::to_string(i));
+    auto single = serial.Scan(pairs[i].first, pairs[i].second);
+    ASSERT_TRUE(single.ok()) << single.status();
+    EXPECT_EQ((*batch)[i].domain(), pairs[i].first);
+    EXPECT_EQ((*batch)[i].attr(), pairs[i].second);
+    ExpectSameScan((*batch)[i].result(), single->result());
+  }
+}
+
+// Store hits skip the build: a warm batch records no
+// wsd.corpus.build_seconds observation, a cold one one per distinct pair.
+TEST(StudyScanBatchTest, WarmStoreBuildsNothing) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "wsd_study_batch_store")
+          .string();
+  std::filesystem::remove_all(dir);
+  StudyOptions options = SmallOptions();
+  options.num_entities = 400;
+  options.artifact_dir = dir;
+  const std::vector<std::pair<Domain, Attribute>> pairs = {
+      {Domain::kBanks, Attribute::kPhone},
+      {Domain::kBanks, Attribute::kHomepage},
+      {Domain::kBooks, Attribute::kIsbn}};
+  const LatencyHistogram& builds =
+      MetricsRegistry::Global().GetHistogram("wsd.corpus.build_seconds");
+
+  const uint64_t before_cold = builds.count();
+  Study cold(options);
+  auto cold_scans = cold.ScanBatch(pairs);
+  ASSERT_TRUE(cold_scans.ok()) << cold_scans.status();
+  EXPECT_EQ(builds.count(), before_cold + pairs.size());
+
+  const uint64_t before_warm = builds.count();
+  Study warm(options);
+  auto warm_scans = warm.ScanBatch(pairs);
+  ASSERT_TRUE(warm_scans.ok()) << warm_scans.status();
+  EXPECT_EQ(builds.count(), before_warm);
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    ExpectSameScan((*warm_scans)[i].result(), (*cold_scans)[i].result());
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// An inapplicable pair in the middle of a batch fails the batch with its
+// own error once the scan it overlapped has drained; the pairs before it
+// stay memoized and the pool keeps working.
+TEST(StudyScanBatchTest, InapplicablePairFailsAfterThePoolDrains) {
+  StudyOptions options = SmallOptions();
+  options.num_entities = 400;
+  options.threads = 4;
+  Study study(options);
+  const LatencyHistogram& builds =
+      MetricsRegistry::Global().GetHistogram("wsd.corpus.build_seconds");
+  auto batch = study.ScanBatch({{Domain::kBanks, Attribute::kPhone},
+                                {Domain::kBooks, Attribute::kPhone},
+                                {Domain::kBanks, Attribute::kHomepage}});
+  EXPECT_TRUE(batch.status().IsInvalidArgument()) << batch.status();
+  EXPECT_NE(batch.status().message().find("Books"), std::string::npos)
+      << batch.status();
+
+  const uint64_t before = builds.count();
+  ASSERT_TRUE(study.Scan(Domain::kBanks, Attribute::kPhone).ok());
+  EXPECT_EQ(builds.count(), before) << "scanned pair was not memoized";
+  ASSERT_TRUE(study.Scan(Domain::kBanks, Attribute::kHomepage).ok());
+  EXPECT_EQ(builds.count(), before + 1);
+}
+
 // Scale stability: the coverage shape barely moves between 1x and 2x
 // entity counts (justifies running the study far below Yahoo's scale).
 TEST(StudyScaleTest, CoverageShapeIsScaleStable) {

@@ -199,6 +199,26 @@ TEST(WsdctlTest, MetricsOutWritesJsonForAnyCommand) {
   std::remove(out.c_str());
 }
 
+// An unopenable --metrics_out fails before the command runs: exit 1
+// naming the path, and nothing the command would write exists.
+TEST(WsdctlTest, UnopenableMetricsOutFailsBeforeAnyWork) {
+  SKIP_WITHOUT_CLI();
+  const fs::path tmp = fs::temp_directory_path();
+  const std::string missing = (tmp / "wsdctl_no_such_dir" / "m.json").string();
+  const std::string tsv = (tmp / "wsdctl_metrics_early.tsv").string();
+  const std::string log = (tmp / "wsdctl_metrics_early.txt").string();
+  fs::remove_all(tmp / "wsdctl_no_such_dir");
+  std::remove(tsv.c_str());
+  const std::string command =
+      CliPath() + " spread --domain=banks --attr=phone --entities 300 " +
+      "--scale 0.05 --seed 3 --out=" + tsv + " --metrics_out=" + missing +
+      " > /dev/null 2> " + log;
+  EXPECT_EQ(WEXITSTATUS(std::system(command.c_str())), 1);
+  EXPECT_NE(ReadFile(log).find(missing), std::string::npos) << ReadFile(log);
+  EXPECT_FALSE(fs::exists(tsv)) << "the command ran before the check";
+  std::remove(log.c_str());
+}
+
 TEST(WsdctlTest, ScanWritesLoadableSnapshot) {
   SKIP_WITHOUT_CLI();
   const std::string snap =

@@ -696,6 +696,13 @@ int CmdPaper(const Args& args, const StudyOptions& options) {
     return Fail(made);
   }
   Study study(options);
+  // Every scan the figures read, as one batch: the pool scans one corpus
+  // while this thread builds the next. The analyses below hit the memo.
+  Graphs scans = Table2Graphs();
+  scans.emplace_back(Domain::kRestaurants, Attribute::kReviews);
+  if (const auto batch = study.ScanBatch(scans); !batch.ok()) {
+    return Fail(batch.status());
+  }
 
   // Each step names one output file and renders it from an analysis
   // result. A failed analysis or write is reported against the file it
@@ -877,16 +884,26 @@ int Main(int argc, char** argv) {
     std::cerr << options.status() << "\n";
     return 2;
   }
-  const int rc = RunCommand(args.positional()[0], args, *options);
   // --metrics_out works for every command: after the run, persist the
-  // registry as machine-readable JSON.
-  if (auto out = args.Get("metrics_out")) {
-    std::ofstream file(*out);
-    file << MetricsRegistry::Global().ToJson() << "\n";
-    if (file.good()) {
-      std::cout << "wrote metrics to " << *out << "\n";
+  // registry as machine-readable JSON. The file is opened first, so a bad
+  // path fails before any work is done.
+  std::ofstream metrics_file;
+  const auto metrics_out = args.Get("metrics_out");
+  if (metrics_out.has_value()) {
+    metrics_file.open(*metrics_out);
+    if (!metrics_file.is_open()) {
+      std::cerr << "cannot open --metrics_out file " << *metrics_out << "\n";
+      return 1;
+    }
+  }
+  const int rc = RunCommand(args.positional()[0], args, *options);
+  if (metrics_out.has_value()) {
+    metrics_file << MetricsRegistry::Global().ToJson() << "\n";
+    metrics_file.close();
+    if (metrics_file.good()) {
+      std::cout << "wrote metrics to " << *metrics_out << "\n";
     } else {
-      std::cerr << "failed to write metrics to " << *out << "\n";
+      std::cerr << "failed to write metrics to " << *metrics_out << "\n";
       return rc == 0 ? 1 : rc;
     }
   }
